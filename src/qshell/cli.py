@@ -38,6 +38,9 @@ __all__ = ["RunConfig", "parse_args", "run", "main"]
 
 COMMANDS = ("levels", "magics", "table", "compare", "fit", "export")
 
+# Largest tau grid `fit --grid` may expand to.
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,7 +59,11 @@ class RunConfig:
 
 def _add_model_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tau", type=float, default=0.038,
-                     help="deformation parameter (default 0.038)")
+                     help="deformation parameter, >= 0 (default 0.038)")
+    _add_scale_options(sub)
+
+
+def _add_scale_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--hbar-omega0", dest="hbar_omega0", type=float, default=1.0,
                      help="energy scale (default 1.0)")
     sub.add_argument("--n-max", dest="n_max", type=int, default=24,
@@ -64,7 +71,7 @@ def _add_model_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_shell_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gap", dest="primary_gap", type=float,
+    sub.add_argument("--primary-gap", "--gap", dest="primary_gap", type=float,
                      default=DEFAULT_PRIMARY_GAP,
                      help="primary shell-gap threshold (default 0.39)")
     sub.add_argument("--secondary-gap", dest="secondary_gap", type=float,
@@ -110,6 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     fit = subs.add_parser("fit", help="grid-search the deformation against a dataset")
+    _add_scale_options(fit)
     _add_shell_options(fit)
     _add_dataset_options(fit)
     fit.add_argument("--grid", dest="grid_spec", default="0.02:0.06:0.002",
@@ -134,6 +142,8 @@ def _parse_grid_spec(parser: argparse.ArgumentParser, spec: str) -> tuple[float,
         parser.error(f"--grid must be lo:hi:step, got {spec!r}")
     if lo <= 0 or step <= 0 or hi < lo:
         parser.error(f"--grid requires 0 < lo <= hi and step > 0, got {spec!r}")
+    if (hi - lo) / step + 1 > MAX_GRID_POINTS:
+        parser.error(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
     return lo, hi, step
 
 
@@ -142,8 +152,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(argv)
 
-    if hasattr(ns, "tau") and not math.isfinite(ns.tau):
-        parser.error(f"--tau must be finite, got {ns.tau!r}")
+    if hasattr(ns, "tau") and not (math.isfinite(ns.tau) and ns.tau >= 0):
+        parser.error(f"--tau must be finite and >= 0, got {ns.tau!r}")
     if hasattr(ns, "hbar_omega0") and not (
         math.isfinite(ns.hbar_omega0) and ns.hbar_omega0 > 0
     ):
@@ -154,9 +164,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         parser.error(f"--count-limit must be >= 2, got {ns.count_limit}")
     if hasattr(ns, "primary_gap"):
         if not (math.isfinite(ns.primary_gap) and math.isfinite(ns.secondary_gap)):
-            parser.error("--gap and --secondary-gap must be finite")
+            parser.error("--primary-gap and --secondary-gap must be finite")
         if not ns.secondary_gap < ns.primary_gap:
-            parser.error("--secondary-gap must be below --gap")
+            parser.error("--secondary-gap must be below --primary-gap")
     if hasattr(ns, "slack") and ns.slack < 0:
         parser.error(f"--slack must be >= 0, got {ns.slack}")
     if hasattr(ns, "grid_spec"):
@@ -348,7 +358,8 @@ def _cmd_compare(config: RunConfig) -> str:
 def _cmd_fit(config: RunConfig) -> str:
     dataset = _load_dataset_for(config)
     taus = _expand_grid(config.tau_grid)
-    result = fit_tau(dataset, taus, config.primary_gap, config.count_limit, config.slack)
+    result = fit_tau(dataset, taus, config.primary_gap, config.count_limit, config.slack,
+                     config.hbar_omega0, config.n_max)
     if config.format == "text":
         lines = [f"tau {tau:.6f} f1 {score:.6f}" for tau, score in result.grid]
         lines.append(f"best tau {result.tau_best:.6f} f1 {result.score_best:.6f}")

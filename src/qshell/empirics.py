@@ -8,6 +8,7 @@ the deformation parameter is fitted by exhaustive grid search on the
 resulting f1 score.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -213,7 +214,10 @@ def predicted_primary_magics(
     """Primary magic numbers of the model at deformation tau."""
     params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
     scheme = build_scheme(params, count_limit)
-    records = detect_shells(scheme, primary_gap, secondary_gap=0.0)
+    # The secondary band is as narrow as floats allow, so detect_shells
+    # builds records only for gaps that reach primary_gap; one exactly at
+    # it grades secondary under the strict rule and is dropped below.
+    records = detect_shells(scheme, primary_gap, math.nextafter(primary_gap, -math.inf))
     return [r.count for r in records if r.grade is MagicGrade.PRIMARY]
 
 
@@ -223,6 +227,8 @@ def fit_tau(
     primary_gap: float,
     count_limit: int,
     slack: int = 0,
+    hbar_omega0: float = 1.0,
+    n_max: int = 24,
 ) -> FitResult:
     """Exhaustive grid search for the tau whose primary magics best match ds.
 
@@ -242,7 +248,7 @@ def fit_tau(
     tau_best = grid[0]
     score_best = -1.0
     for tau in grid:
-        predicted = predicted_primary_magics(tau, primary_gap, count_limit)
+        predicted = predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max)
         score = match_magics(predicted, ds, slack=slack, include_paren=False).f1
         trace.append((tau, score))
         if score > score_best:

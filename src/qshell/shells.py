@@ -10,8 +10,9 @@ closures.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
-from .spectrum import Level, ModelParameters, energy, enumerate_levels
+from .spectrum import Level, ModelParameters, _levels_up_to, energy, enumerate_levels
 
 __all__ = [
     "MagicGrade",
@@ -77,15 +78,18 @@ class LevelScheme:
                 raise ValueError(f"cumulative total {cum} != running sum {total}")
 
 
-def _sort_key(level: Level) -> tuple[float, int, int]:
-    return (level.energy, level.n, level.l)
+_sort_key = attrgetter("energy", "n", "l")
 
 
-def _truncated(p: ModelParameters, count_limit: int) -> tuple[list[Level], list[int]]:
+# Shells added per step when searching for the n_max to suggest.
+_N_MAX_STEP = 8
+
+
+def _truncated(ordered: list[Level], count_limit: int) -> tuple[list[Level], list[int]]:
     kept = []
     totals = []
     running = 0
-    for lev in sorted(enumerate_levels(p), key=_sort_key):
+    for lev in ordered:
         if running + lev.degeneracy > count_limit:
             break
         running += lev.degeneracy
@@ -94,10 +98,35 @@ def _truncated(p: ModelParameters, count_limit: int) -> tuple[list[Level], list[
     return kept, totals
 
 
-def _is_complete(p: ModelParameters, last_energy: float) -> bool:
-    # The lowest level of shell m is (m, m); once that clears the truncation
-    # energy, no omitted shell can reach into the kept range.
-    return energy(p.n_max + 1, p.n_max + 1, p) > last_energy
+def _is_complete(next_shell_floor: float, enumerated: int, kept: list[Level],
+                 totals: list[int], count_limit: int) -> bool:
+    # For tau >= 0 the lowest level of shell m is (m, m), and it rises with
+    # m.  So no omitted level reaches into the kept range once shell
+    # n_max+1 starts above it, provided count_limit, not n_max, ended the
+    # scheme: some level was left out, or the total met the limit exactly.
+    cut = len(kept) < enumerated or totals[-1] == count_limit
+    return cut and next_shell_floor > kept[-1].energy
+
+
+def _required_n_max(p: ModelParameters, count_limit: int) -> int:
+    """The smallest n_max above p.n_max whose scheme is complete.
+
+    Levels up to a trial bound are built and sorted once, and every
+    candidate below that bound is checked against them; the bound grows
+    by _N_MAX_STEP shells only if no candidate passes.
+    """
+    n = p.n_max
+    while True:
+        n_hi = n + _N_MAX_STEP
+        table = _levels_up_to(p, n_hi + 1)
+        floors = {lev.n: lev.energy for lev in table if lev.l == lev.n}
+        ordered = sorted(table, key=_sort_key)
+        while n < n_hi:
+            n += 1
+            levels = [lev for lev in ordered if lev.n <= n]
+            kept, totals = _truncated(levels, count_limit)
+            if _is_complete(floors[n + 1], len(levels), kept, totals, count_limit):
+                return n
 
 
 def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> LevelScheme:
@@ -105,24 +134,24 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
 
     Levels are kept while the running occupancy stays within count_limit,
     so a total exactly equal to the limit is still included.  Raises
-    InsufficientNMaxError when shells above n_max could still reach below
-    the truncation energy, naming an n_max that would be safe.
+    InsufficientNMaxError, naming the smallest n_max that would do, when
+    shells above n_max could still reach below the truncation energy or
+    when shells 0..n_max cannot fill count_limit.
     """
     if count_limit < 2:
         raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
-    kept, totals = _truncated(p, count_limit)
-    if not _is_complete(p, kept[-1].energy):
-        required = p.n_max + 1
-        while True:
-            candidate = ModelParameters(p.deformation, p.hbar_omega0, required)
-            partial, _ = _truncated(candidate, count_limit)
-            if _is_complete(candidate, partial[-1].energy):
-                break
-            required += 1
+    levels = enumerate_levels(p)
+    kept, totals = _truncated(sorted(levels, key=_sort_key), count_limit)
+    next_shell_floor = energy(p.n_max + 1, p.n_max + 1, p)
+    if not _is_complete(next_shell_floor, len(levels), kept, totals, count_limit):
+        if next_shell_floor > kept[-1].energy:
+            reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
+        else:
+            reason = (f"shell {p.n_max + 1} starts below the truncation energy "
+                      f"{kept[-1].energy:.6f}")
         raise InsufficientNMaxError(
             f"n_max={p.n_max} is too small for count_limit={count_limit}: "
-            f"shell {p.n_max + 1} starts below the truncation energy "
-            f"{kept[-1].energy:.6f}; use n_max >= {required}"
+            f"{reason}; use n_max >= {_required_n_max(p, count_limit)}"
         )
     return LevelScheme(tuple(kept), tuple(totals), p)
 

@@ -13,6 +13,13 @@ A shell n splits into levels l = n, n-2, ..., 1 or 0, each holding
 2(2l+1) particles.  The small-tau expansion (energy_taylor) and the
 modified-oscillator comparator (nilsson_energy) are provided alongside
 the exact formula.
+
+energy() evaluates one level.  enumerate_levels() evaluates a whole
+scheme as a per-tau table: the brackets [k] = sinh(tau k)/sinh(tau) for
+k <= n_max + 1, q and q tanh(tau) once per tau, and [n] q^(n+1) once per
+shell, so each level costs one product and one difference.  The table
+uses the same float operations in the same order as energy(), so both
+give bit-identical energies (the CSV and JSON output print repr(energy)).
 """
 
 import math
@@ -73,6 +80,10 @@ class ModelParameters:
             raise ValueError(f"hbar_omega0 must be positive, got {self.hbar_omega0!r}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max!r}")
+        # The lowest level of shell n is (n, n) only for tau >= 0, and the
+        # completeness check of a truncated scheme relies on it.
+        if self.deformation.tau < 0:
+            raise ValueError(f"tau must be >= 0, got {self.deformation.tau!r}")
 
 
 def allowed_l(n: int) -> list[int]:
@@ -155,13 +166,37 @@ def nilsson_energy(n: int, l: int, kappa_prime: float, hbar_omega: float = 1.0) 
     return hbar_omega * (n + 1.5) - hbar_omega * kappa_prime * (l * (l + 1) - mean_L2(n))
 
 
+def _levels_up_to(p: ModelParameters, n_hi: int) -> list[Level]:
+    """All levels with 0 <= n <= n_hi, in (n, descending l) enumeration order.
+
+    n_hi may exceed p.n_max, which lets a caller look past the bound.
+    Each energy equals energy(n, l, p) bit for bit.
+    """
+    d = p.deformation
+    _require_real(d, "energy")
+    tau = d.tau
+    hbar_omega0 = p.hbar_omega0
+    if tau == 0.0:
+        return [Level(n, l, hbar_omega0 * n, 2 * (2 * l + 1))
+                for n in range(n_hi + 1) for l in allowed_l(n)]
+    # The same operations as q_bracket, q_bracket * q ** (n + 1) and
+    # q * tanh(tau) * casimir_eigenvalue in energy().
+    sinh_tau = math.sinh(tau)
+    bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
+    q = math.exp(tau)
+    casimir_coeff = q * math.tanh(tau)
+    levels = []
+    for n in range(n_hi + 1):
+        shell = bracket[n] * q ** (n + 1)
+        for l in allowed_l(n):
+            e = hbar_omega0 * (shell - casimir_coeff * (bracket[l] * bracket[l + 1]))
+            levels.append(Level(n, l, e, 2 * (2 * l + 1)))
+    return levels
+
+
 def enumerate_levels(p: ModelParameters) -> list[Level]:
     """All levels with 0 <= n <= n_max, in (n, descending l) enumeration order.
 
     Shell n contributes floor(n/2) + 1 levels totalling (n+1)(n+2) particles.
     """
-    levels = []
-    for n in range(p.n_max + 1):
-        for l in allowed_l(n):
-            levels.append(Level(n, l, energy(n, l, p), 2 * (2 * l + 1)))
-    return levels
+    return _levels_up_to(p, p.n_max)

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
-from qshell.cli import RunConfig, parse_args, run
+from qshell.cli import RunConfig, _expand_grid, parse_args, run
 from qshell.qmath import DeformationParameter
 from qshell.shells import build_scheme
 from qshell.spectrum import ModelParameters
@@ -35,6 +36,7 @@ def test_defaults():
 def test_flag_parsing():
     config = parse_args(["magics", "--tau", "0.038", "--gap", "0.39"])
     assert config.tau == 0.038 and config.primary_gap == 0.39
+    assert parse_args(["magics", "--primary-gap", "0.5"]).primary_gap == 0.5
 
 
 def test_fit_grid_parsing():
@@ -42,6 +44,8 @@ def test_fit_grid_parsing():
     assert config.command == "fit"
     assert config.dataset_path == "martin"
     assert config.tau_grid == (0.02, 0.06, 0.002)
+    fine = parse_args(["fit", "--dataset", "martin", "--grid", "0.02:0.06:0.00001"])
+    assert len(_expand_grid(fine.tau_grid)) == 4001
 
 
 @pytest.mark.parametrize(
@@ -64,6 +68,8 @@ def test_fit_grid_parsing():
         ["fit", "--dataset", "martin", "--grid", "0.02:0.06"],
         ["fit", "--dataset", "martin", "--grid", "0:0.06:0.002"],
         ["compare", "--dataset", "martin", "--slack", "-1"],
+        ["magics", "--tau", "-0.038"],
+        ["fit", "--dataset", "martin", "--grid", "0.02:100:1e-9"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -183,6 +189,27 @@ def test_fit_json_output():
     assert doc["tau_best"] == 0.038
     assert doc["score_best"] == pytest.approx(17 / 22, rel=1e-12)
     assert len(doc["grid"]) == 5
+
+
+def test_fit_follows_its_own_n_max_advice(capsys):
+    argv = ["fit", "--dataset", "martin", "--count-limit", "4080"]
+    status, out = capture(parse_args(argv))
+    assert status == 1 and out == ""
+    bound = re.search(r"use n_max >= (\d+)", capsys.readouterr().err).group(1)
+    status, out = capture(parse_args(argv + ["--n-max", bound]))
+    assert status == 0
+    assert out.splitlines()[-1].startswith("best tau ")
+
+
+def test_fit_passes_the_energy_scale_through():
+    # Energies and gaps scale exactly with hbar_omega0 = 2, so doubling the
+    # thresholds too must reproduce the default fit.
+    argv = ["fit", "--dataset", "martin", "--grid", "0.03:0.046:0.004"]
+    scaled = argv + ["--hbar-omega0", "2", "--primary-gap", repr(2 * 0.39),
+                     "--secondary-gap", repr(2 * 0.30)]
+    assert capture(parse_args(scaled)) == capture(parse_args(argv))
+    status, out = capture(parse_args(argv + ["--hbar-omega0", "2"]))
+    assert status == 0 and out != capture(parse_args(argv))[1]
 
 
 def test_dataset_by_path(tmp_path):

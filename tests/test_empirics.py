@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,9 @@ from qshell.empirics import (
     match_magics,
     predicted_primary_magics,
 )
+from qshell.qmath import DeformationParameter
+from qshell.shells import build_scheme
+from qshell.spectrum import ModelParameters
 
 MARTIN = [
     (2, 0, False), (8, 0, False), (18, 0, True), (20, 0, False), (34, 0, False),
@@ -225,6 +229,15 @@ def test_report_is_order_insensitive():
 
 def test_predicted_primary_magics_default_point():
     assert predicted_primary_magics(0.038, 0.39, 1520) == PRIMARY_MAGICS
+
+
+def test_predicted_primary_magics_threshold_is_strict():
+    # A gap exactly at the threshold is not primary on the fit's path either.
+    scheme = build_scheme(ModelParameters(DeformationParameter(0.038)), 1520)
+    i = scheme.cumulative.index(1502)
+    gap = scheme.levels[i + 1].energy - scheme.levels[i].energy
+    assert 1502 not in predicted_primary_magics(0.038, gap, 1520)
+    assert predicted_primary_magics(0.038, math.nextafter(gap, -math.inf), 1520)[-1] == 1502
 
 
 def test_fit_self_consistency():

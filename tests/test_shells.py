@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshell.qmath import DeformationParameter
 from qshell.shells import (
@@ -69,12 +70,50 @@ def test_count_limit_validation():
 def test_insufficient_n_max_names_a_working_bound():
     with pytest.raises(InsufficientNMaxError) as err:
         build_scheme(params(n_max=5), count_limit=1520)
-    bound = int(re.search(r"n_max >= (\d+)", str(err.value)).group(1))
+    bound = _suggested_n_max(err.value)
     fixed = build_scheme(params(n_max=bound), count_limit=1520)
     assert fixed.levels == build_scheme(params(n_max=24), count_limit=1520).levels
     # the named bound is tight: one less must still fail
     with pytest.raises(InsufficientNMaxError):
         build_scheme(params(n_max=bound - 1), count_limit=1520)
+
+
+def _suggested_n_max(exc):
+    return int(re.search(r"n_max >= (\d+)", str(exc)).group(1))
+
+
+@settings(deadline=None)
+@given(
+    tau=st.floats(min_value=0.0, max_value=0.5),
+    count_limit=st.integers(min_value=2, max_value=6000),
+    n_max=st.integers(min_value=1, max_value=30),
+)
+def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
+    # Brute-force oracle: an accepted scheme is the one every larger bound
+    # gives, and a suggested bound is the smallest one that is accepted.
+    try:
+        scheme = build_scheme(params(tau=tau, n_max=n_max), count_limit)
+    except InsufficientNMaxError as err:
+        bound = _suggested_n_max(err)
+        assert bound > n_max
+        build_scheme(params(tau=tau, n_max=bound), count_limit)
+        with pytest.raises(InsufficientNMaxError):
+            build_scheme(params(tau=tau, n_max=bound - 1), count_limit)
+        return
+    larger = build_scheme(params(tau=tau, n_max=n_max + 8), count_limit)
+    assert scheme.levels == larger.levels
+    assert scheme.cumulative == larger.cumulative
+
+
+def test_underfilled_scheme_raises():
+    # Shells 0..19 hold 3080 particles and shell 20 starts above all of
+    # them, yet more levels fit within 5452: the bound, not the count
+    # limit, would end the scheme.
+    with pytest.raises(InsufficientNMaxError, match="hold only 3080 particles") as err:
+        build_scheme(params(tau=0.00138, n_max=19), count_limit=5452)
+    bound = _suggested_n_max(err.value)
+    assert build_scheme(params(tau=0.00138, n_max=bound), 5452).levels == \
+        build_scheme(params(tau=0.00138, n_max=bound + 8), 5452).levels
 
 
 def test_build_is_deterministic():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -138,6 +139,37 @@ def test_intra_shell_energy_decreases_with_l(tau):
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
 
+def _relative_error_50_digits(value, n, l, tau):
+    with mpmath.workdps(50):
+        t = mpmath.mpf(tau)
+        bracket = lambda k: mpmath.sinh(t * k) / mpmath.sinh(t)
+        q = mpmath.exp(t)
+        exact = bracket(n) * q ** (n + 1) - q * mpmath.tanh(t) * bracket(l) * bracket(l + 1)
+        return abs((mpmath.mpf(value) - exact) / exact)
+
+
+@pytest.mark.parametrize(
+    "tau", [1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.038, 0.1, 0.2, 0.3, 0.4, 0.4839516553964115, 0.5]
+)
+def test_energy_relative_error_against_mpmath(tau):
+    """energy() is within (2n + 8) eps of the 50-digit value, eps = 2**-52.
+
+    The error grows with n: q ** (n + 1) multiplies the rounding of
+    q = e^tau by n + 1, and [n] q^(n+1) partly cancels against the
+    Casimir term on the stretched levels.  Over 300 random tau in
+    [1e-8, 0.5] (half log-uniform) and every level with n <= 40, the
+    measured worst case was 60 eps at (39, 39), tau = 0.48395..., and
+    4 eps at n = 1; (2n + 8) eps bounds every shell with at least 1.3x
+    headroom.  E(0, 0) is exactly 0.
+    """
+    p = params(tau, n_max=40)
+    assert energy(0, 0, p) == 0.0
+    for n in range(1, 41):
+        bound = (2 * n + 8) * 2.0**-52
+        for l in allowed_l(n):
+            assert _relative_error_50_digits(energy(n, l, p), n, l, tau) <= bound, (n, l)
+
+
 def test_small_tau_deviation_is_first_order():
     # E - n ~ tau (n(n+1) - l(l+1)); at tau = 1e-8 the worst case over
     # n <= 10 is (10,0) with coefficient 110
@@ -241,6 +273,21 @@ def test_enumerate_levels_smallest_cases():
     assert len(enumerate_levels(params(0.038, n_max=2))) == 4
 
 
+@given(
+    tau=st.floats(min_value=0.0, max_value=0.5),
+    hw=st.floats(min_value=0.1, max_value=5.0),
+    n_max=st.integers(min_value=1, max_value=40),
+)
+def test_enumerate_levels_is_bitwise_energy(tau, hw, n_max):
+    # The per-tau table must round exactly like energy(): the CSV and JSON
+    # output print repr(energy).
+    p = params(tau, hw, n_max)
+    levels = enumerate_levels(p)
+    assert len(levels) == sum(n // 2 + 1 for n in range(n_max + 1))
+    for lev in levels:
+        assert lev.energy.hex() == energy(lev.n, lev.l, p).hex(), (lev.n, lev.l)
+
+
 def test_enumerate_levels_counts_and_capacity():
     levs = enumerate_levels(P038)
     assert len(levs) == sum(n // 2 + 1 for n in range(25))
@@ -256,6 +303,14 @@ def test_model_parameters_validation():
         ModelParameters(D038, hbar_omega0=math.inf)
     with pytest.raises(ValueError):
         ModelParameters(D038, n_max=0)
+
+
+def test_model_parameters_reject_negative_tau():
+    # Below tau = 0 the lowest level of a shell is no longer (n, n), and a
+    # truncated scheme could silently miss levels.
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        params(-0.038)
+    assert params(0.0).deformation.tau == 0.0
 
 
 def test_level_validation():
