@@ -12,7 +12,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from functools import lru_cache
 
 from .empirics import (
     DatasetParseError,
@@ -40,21 +41,25 @@ COMMANDS = ("levels", "magics", "table", "compare", "fit", "export")
 
 # Largest tau grid `fit --grid` may expand to.
 MAX_GRID_POINTS = 100_000
+# Largest --n-max and --count-limit.  Memory grows as n_max**2, and a
+# count limit the shells 0..n_max cannot hold makes build_scheme search
+# ever larger tables for the n_max to suggest.  1e6 particles need
+# n_max <= 150 at every tau, and one scheme at these caps takes at most
+# about 0.15 s; a fit costs that once per grid point.
+MAX_N_MAX = 200
+MAX_COUNT_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    tau: float = 0.038
-    hbar_omega0: float = 1.0
-    n_max: int = 24
-    primary_gap: float = DEFAULT_PRIMARY_GAP
-    secondary_gap: float = DEFAULT_SECONDARY_GAP
-    count_limit: int = DEFAULT_COUNT_LIMIT
-    dataset_path: str | None = None
-    slack: int = 0
-    format: str = "text"
-    tau_grid: tuple[float, float, float] | None = None
+class RunConfig(namedtuple(
+    "RunConfig",
+    "command tau hbar_omega0 n_max primary_gap secondary_gap count_limit "
+    "dataset_path slack format tau_grid",
+    defaults=(0.038, 1.0, 24, DEFAULT_PRIMARY_GAP, DEFAULT_SECONDARY_GAP,
+              DEFAULT_COUNT_LIMIT, None, 0, "text", None),
+)):
+    """One validated command line; tau_grid is (lo, hi, step) for fit."""
+
+    __slots__ = ()
 
 
 def _add_model_options(sub: argparse.ArgumentParser) -> None:
@@ -144,6 +149,9 @@ def _parse_grid_spec(parser: argparse.ArgumentParser, spec: str) -> tuple[float,
         parser.error(f"--grid requires 0 < lo <= hi and step > 0, got {spec!r}")
     if (hi - lo) / step + 1 > MAX_GRID_POINTS:
         parser.error(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    taus = _expand_grid((lo, hi, step))
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        parser.error(f"--grid {spec!r} has points that round to the same tau (10 decimals)")
     return lo, hi, step
 
 
@@ -158,10 +166,10 @@ def parse_args(argv: list[str]) -> RunConfig:
         math.isfinite(ns.hbar_omega0) and ns.hbar_omega0 > 0
     ):
         parser.error(f"--hbar-omega0 must be positive, got {ns.hbar_omega0!r}")
-    if hasattr(ns, "n_max") and ns.n_max < 1:
-        parser.error(f"--n-max must be >= 1, got {ns.n_max}")
-    if hasattr(ns, "count_limit") and ns.count_limit < 2:
-        parser.error(f"--count-limit must be >= 2, got {ns.count_limit}")
+    if hasattr(ns, "n_max") and not 1 <= ns.n_max <= MAX_N_MAX:
+        parser.error(f"--n-max must be in [1, {MAX_N_MAX}], got {ns.n_max}")
+    if hasattr(ns, "count_limit") and not 2 <= ns.count_limit <= MAX_COUNT_LIMIT:
+        parser.error(f"--count-limit must be in [2, {MAX_COUNT_LIMIT}], got {ns.count_limit}")
     if hasattr(ns, "primary_gap"):
         if not (math.isfinite(ns.primary_gap) and math.isfinite(ns.secondary_gap)):
             parser.error("--primary-gap and --secondary-gap must be finite")
@@ -172,28 +180,25 @@ def parse_args(argv: list[str]) -> RunConfig:
     if hasattr(ns, "grid_spec"):
         ns.tau_grid = _parse_grid_spec(parser, ns.grid_spec)
 
-    names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in vars(ns).items() if k in names})
+    return RunConfig(**{k: v for k, v in vars(ns).items() if k in RunConfig._fields})
 
 
-def _expand_grid(grid: tuple[float, float, float]) -> list[float]:
+@lru_cache(maxsize=1)  # parse_args checks the grid that fit then scans
+def _expand_grid(grid: tuple[float, float, float]) -> tuple[float, ...]:
     lo, hi, step = grid
     taus = []
     i = 0
     while True:
         tau = round(lo + i * step, 10)
         if tau > hi + 1e-9:
-            return taus
+            return tuple(taus)
         taus.append(tau)
         i += 1
 
 
 def _config_dict(config: RunConfig) -> dict:
-    out = {}
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in zip(config._fields, config)}
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -357,7 +362,7 @@ def _cmd_compare(config: RunConfig) -> str:
 
 def _cmd_fit(config: RunConfig) -> str:
     dataset = _load_dataset_for(config)
-    taus = _expand_grid(config.tau_grid)
+    taus = _expand_grid(tuple(config.tau_grid))
     result = fit_tau(dataset, taus, config.primary_gap, config.count_limit, config.slack,
                      config.hbar_omega0, config.n_max)
     if config.format == "text":
@@ -393,7 +398,7 @@ def run(config: RunConfig, out=None) -> int:
     try:
         text = _DISPATCH[config.command](config)
     except (InsufficientNMaxError, DatasetParseError, DatasetValidationError,
-            ValueError, OSError) as exc:
+            ValueError, OverflowError, OSError) as exc:
         print(f"qshell: error: {exc}", file=sys.stderr)
         return 1
     sink.write(text)

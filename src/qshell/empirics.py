@@ -10,8 +10,7 @@ resulting f1 score.
 
 import math
 import re
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 from pathlib import Path
 
 from .qmath import DeformationParameter
@@ -62,54 +61,58 @@ class DatasetValidationError(ValueError):
     """Structurally valid lines forming an invalid dataset."""
 
 
-@dataclass(frozen=True)
-class ObservedMagic:
-    value: int
-    uncertainty: int = 0
-    parenthesized: bool = False
+class ObservedMagic(namedtuple("ObservedMagic", "value uncertainty parenthesized")):
+    """One observed magic number, its ± window, and whether it is tentative."""
 
-    def __post_init__(self) -> None:
-        if self.value < 2:
-            raise ValueError(f"magic number must be >= 2, got {self.value!r}")
-        if not 0 <= self.uncertainty <= self.value:
-            raise ValueError(
-                f"uncertainty must be in [0, value], got ±{self.uncertainty!r}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, value: int, uncertainty: int = 0, parenthesized: bool = False):
+        if value < 2:
+            raise ValueError(f"magic number must be >= 2, got {value!r}")
+        if not 0 <= uncertainty <= value:
+            raise ValueError(f"uncertainty must be in [0, value], got ±{uncertainty!r}")
+        return tuple.__new__(cls, (value, uncertainty, parenthesized))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ExperimentalDataset:
-    source: str
-    entries: tuple[ObservedMagic, ...]
+class ExperimentalDataset(namedtuple("ExperimentalDataset", "source entries")):
+    """Observed magic numbers from one source, strictly increasing in value."""
 
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise DatasetValidationError(f"dataset {self.source!r} has no entries")
-        for a, b in zip(self.entries, self.entries[1:]):
+    __slots__ = ()
+
+    def __new__(cls, source: str, entries: tuple[ObservedMagic, ...]):
+        if not entries:
+            raise DatasetValidationError(f"dataset {source!r} has no entries")
+        for a, b in zip(entries, entries[1:]):
             if b.value <= a.value:
                 raise DatasetValidationError(
-                    f"dataset {self.source!r}: values must be strictly increasing, "
+                    f"dataset {source!r}: values must be strictly increasing, "
                     f"got {a.value} then {b.value}"
                 )
+        return tuple.__new__(cls, (source, entries))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def values(self, include_paren: bool = True) -> list[int]:
         return [e.value for e in self.entries if include_paren or not e.parenthesized]
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    true_positives: int
-    false_positives: int
-    false_negatives: int
-    matched_pairs: tuple[tuple[int, int], ...]
-    f1: float
+class MatchReport(namedtuple("MatchReport", "true_positives false_positives false_negatives "
+                                            "matched_pairs f1")):
+    """Counts of a matching, its (predicted, observed) pairs, and the f1 score."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FitResult:
-    tau_best: float
-    score_best: float
-    grid: tuple[tuple[float, float], ...]
+class FitResult(namedtuple("FitResult", "tau_best score_best grid")):
+    """The best tau, its score, and (tau, score) at every grid point."""
+
+    __slots__ = ()
 
 
 def load_dataset(source_text: str, source: str = "custom") -> ExperimentalDataset:
@@ -145,30 +148,36 @@ def bundled_dataset_names() -> tuple[str, ...]:
     return BUNDLED_DATASETS
 
 
-def _looks_like_path(spec: str) -> bool:
-    return "/" in spec or "\\" in spec or spec.endswith(".txt") or Path(spec).exists()
+def _is_bare_name(spec: str) -> bool:
+    return not ("/" in spec or "\\" in spec or spec.endswith(".txt"))
 
 
 def load_named_dataset(spec: str, data_dir: str | None = None) -> ExperimentalDataset:
     """Load a dataset by bundled name or by explicit file path.
 
-    Anything that looks like a path (separator, .txt suffix, or an
-    existing file) is read directly.  Otherwise the name is resolved in
-    data_dir when given, else among the bundled datasets.
+    A bare name (no path separator, no .txt suffix) is resolved as
+    data_dir/<name>.txt when data_dir is given, else among the bundled
+    datasets, so a local file or directory of the same name never shadows
+    it; write ./martin to read a local file.  A bare name that is not
+    bundled falls back to a local file of that name.  Anything else is a
+    file path.
     """
-    if _looks_like_path(spec):
-        path = Path(spec)
-        return load_dataset(path.read_text(encoding="utf-8"), source=path.stem)
-    if data_dir is not None:
-        path = Path(data_dir) / f"{spec}.txt"
-        return load_dataset(path.read_text(encoding="utf-8"), source=spec)
-    if spec in BUNDLED_DATASETS:
-        text = (resources.files("qshell") / "data" / f"{spec}.txt").read_text(
-            encoding="utf-8"
-        )
-        return load_dataset(text, source=spec)
-    known = ", ".join(BUNDLED_DATASETS)
-    raise FileNotFoundError(f"unknown dataset {spec!r}; bundled datasets: {known}")
+    if _is_bare_name(spec):
+        if data_dir is not None:
+            path = Path(data_dir) / f"{spec}.txt"
+            return load_dataset(path.read_text(encoding="utf-8"), source=spec)
+        if spec in BUNDLED_DATASETS:
+            from importlib import resources  # only bundled lookups need it
+
+            text = (resources.files("qshell") / "data" / f"{spec}.txt").read_text(
+                encoding="utf-8"
+            )
+            return load_dataset(text, source=spec)
+        if not Path(spec).is_file():
+            known = ", ".join(BUNDLED_DATASETS)
+            raise FileNotFoundError(f"unknown dataset {spec!r}; bundled datasets: {known}")
+    path = Path(spec)
+    return load_dataset(path.read_text(encoding="utf-8"), source=path.stem)
 
 
 def match_magics(
@@ -188,14 +197,28 @@ def match_magics(
     for a, b in zip(predicted, predicted[1:]):
         if b <= a:
             raise ValueError("predicted values must be strictly increasing")
-    observed = [e for e in ds.entries if include_paren or not e.parenthesized]
-    taken = [False] * len(observed)
+    entries = [e for e in ds.entries if include_paren or not e.parenthesized]
+    observed = [e.value for e in entries]
+    window = [e.uncertainty + slack for e in entries]
+    # No entry further than reach from p can match it.  Observed values and
+    # predictions both increase, so an entry below p - reach, or a taken
+    # one, is out of reach of every later prediction: the scan start only
+    # moves forward.  The scan for p stops above p + reach.
+    reach = max(window, default=slack)
+    count = len(observed)
+    taken = [False] * count
     pairs = []
+    start = 0
     for p in predicted:
-        for j, e in enumerate(observed):
-            if not taken[j] and abs(p - e.value) <= e.uncertainty + slack:
+        while start < count and (taken[start] or observed[start] + reach < p):
+            start += 1
+        for j in range(start, count):
+            o = observed[j]
+            if o - p > reach:
+                break
+            if not taken[j] and abs(p - o) <= window[j]:
                 taken[j] = True
-                pairs.append((p, e.value))
+                pairs.append((p, o))
                 break
     tp = len(pairs)
     fp = len(predicted) - tp

@@ -12,7 +12,7 @@ cancel catastrophically for small tau.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 __all__ = [
@@ -37,33 +37,35 @@ class DeformationKind(Enum):
     PHASE = "phase"
 
 
-@dataclass(frozen=True)
-class DeformationParameter:
+class DeformationParameter(namedtuple("DeformationParameter", "tau kind")):
     """A deformation tau together with its interpretation.
 
     tau = 0 is always legal and means the undeformed (classical) limit,
-    for either kind.
+    for either kind.  tau is stored as a float.
     """
 
-    tau: float
-    kind: DeformationKind = DeformationKind.REAL
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, DeformationKind):
-            raise TypeError(f"kind must be a DeformationKind, got {self.kind!r}")
-        tau = float(self.tau)
-        if not math.isfinite(tau):
-            raise ValueError(f"tau must be finite, got {self.tau!r}")
-        object.__setattr__(self, "tau", tau)
-        if self.kind is DeformationKind.PHASE and tau != 0.0:
+    def __new__(cls, tau: float, kind: DeformationKind = DeformationKind.REAL):
+        if not isinstance(kind, DeformationKind):
+            raise TypeError(f"kind must be a DeformationKind, got {kind!r}")
+        value = float(tau)
+        if not math.isfinite(value):
+            raise ValueError(f"tau must be finite, got {tau!r}")
+        if kind is DeformationKind.PHASE and value != 0.0:
             # tau at an integer multiple of pi makes sin(tau) vanish and the
             # bracket singular; tau = 0 is excluded because it is handled as
             # the analytic limit, never as a division.
-            if abs(math.sin(tau)) < _SIN_EPS:
+            if abs(math.sin(value)) < _SIN_EPS:
                 raise SingularDeformationError(
-                    f"phase deformation tau={tau!r} is a multiple of pi; "
+                    f"phase deformation tau={value!r} is a multiple of pi; "
                     "the bracket denominator sin(tau) vanishes"
                 )
+        return tuple.__new__(cls, (value, kind))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def q(self) -> float:

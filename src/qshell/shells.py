@@ -8,9 +8,9 @@ closures.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from operator import attrgetter
+from operator import itemgetter
 
 from .spectrum import Level, ModelParameters, _levels_up_to, energy, enumerate_levels
 
@@ -38,47 +38,51 @@ class MagicGrade(Enum):
     SECONDARY = "secondary"
 
 
-@dataclass(frozen=True)
-class MagicRecord:
+class MagicRecord(namedtuple("MagicRecord", "after_level gap count grade")):
     """A shell closure after a level: its gap, cumulative count and grade."""
 
-    after_level: Level
-    gap: float
-    count: int
-    grade: MagicGrade
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.gap <= 0:
-            raise ValueError(f"gap must be positive, got {self.gap!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be positive, got {self.count!r}")
+    def __new__(cls, after_level: Level, gap: float, count: int, grade: MagicGrade):
+        if gap <= 0:
+            raise ValueError(f"gap must be positive, got {gap!r}")
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count!r}")
+        return tuple.__new__(cls, (after_level, gap, count, grade))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LevelScheme:
+class LevelScheme(namedtuple("LevelScheme", "levels cumulative params")):
     """Levels in ascending energy order with running occupancy totals."""
 
-    levels: tuple[Level, ...]
-    cumulative: tuple[int, ...]
-    params: ModelParameters
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __new__(cls, levels: tuple[Level, ...], cumulative: tuple[int, ...],
+                params: ModelParameters):
+        if not levels:
             raise ValueError("a level scheme cannot be empty")
-        if len(self.levels) != len(self.cumulative):
+        if len(levels) != len(cumulative):
             raise ValueError("levels and cumulative must have equal length")
         total = 0
         previous = None
-        for lev, cum in zip(self.levels, self.cumulative):
+        for lev, cum in zip(levels, cumulative):
             if previous is not None and lev.energy < previous:
                 raise ValueError("level energies must be non-decreasing")
             previous = lev.energy
             total += lev.degeneracy
             if cum != total:
                 raise ValueError(f"cumulative total {cum} != running sum {total}")
+        return tuple.__new__(cls, (levels, cumulative, params))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-_sort_key = attrgetter("energy", "n", "l")
+_sort_key = itemgetter(2, 0, 1)  # energy, n, l
 
 
 # Shells added per step when searching for the n_max to suggest.
@@ -172,16 +176,17 @@ def detect_shells(
         raise ValueError(
             f"secondary_gap {secondary_gap!r} must be below primary_gap {primary_gap!r}"
         )
+    levels, cumulative = s.levels, s.cumulative
     records = []
-    for i in range(len(s.levels) - 1):
-        gap = s.levels[i + 1].energy - s.levels[i].energy
+    for i in range(len(levels) - 1):
+        gap = levels[i + 1].energy - levels[i].energy
         if gap > primary_gap:
             grade = MagicGrade.PRIMARY
         elif gap > secondary_gap:
             grade = MagicGrade.SECONDARY
         else:
             continue
-        records.append(MagicRecord(s.levels[i], gap, s.cumulative[i], grade))
+        records.append(MagicRecord(levels[i], gap, cumulative[i], grade))
     return records
 
 

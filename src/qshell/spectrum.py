@@ -16,14 +16,17 @@ the exact formula.
 
 energy() evaluates one level.  enumerate_levels() evaluates a whole
 scheme as a per-tau table: the brackets [k] = sinh(tau k)/sinh(tau) for
-k <= n_max + 1, q and q tanh(tau) once per tau, and [n] q^(n+1) once per
-shell, so each level costs one product and one difference.  The table
-uses the same float operations in the same order as energy(), so both
-give bit-identical energies (the CSV and JSON output print repr(energy)).
+k <= n_max + 1, q and q tanh(tau) once per tau, [n] q^(n+1) once per
+shell and q tanh(tau) [l][l+1] once per l, so each level costs one
+difference and one product.  The levels follow the tau-independent
+(n, l, 2(2l+1)) shape of the table, which is cached.  The table uses the
+same float operations in the same order as energy(), so both give
+bit-identical energies (the CSV and JSON output print repr(energy)).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import lru_cache
 
 from .qmath import DeformationKind, DeformationParameter, q_bracket
 
@@ -41,6 +44,10 @@ __all__ = [
 ]
 
 
+# Bound once: Level construction is the hot path of enumerate_levels.
+_tuple_new = tuple.__new__
+
+
 class InvalidLevelError(ValueError):
     """(n, l) outside the branching rule l = n, n-2, ..., 1 or 0."""
 
@@ -52,38 +59,44 @@ def _check_branching(n: int, l: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(namedtuple("Level", "n l energy degeneracy")):
     """One (n, l) eigenstate: energy in hbar*omega0 units, capacity 2(2l+1)."""
 
-    n: int
-    l: int
-    energy: float
-    degeneracy: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_branching(self.n, self.l)
-        if self.degeneracy != 2 * (2 * self.l + 1):
-            raise ValueError(
-                f"degeneracy {self.degeneracy} != 2(2l+1) = {2 * (2 * self.l + 1)}"
-            )
+    def __new__(cls, n: int, l: int, energy: float, degeneracy: int):
+        # The branching rule and capacity inline; _check_branching only
+        # words the error.
+        if not (0 <= l <= n and (n - l) % 2 == 0 and degeneracy == 4 * l + 2):
+            _check_branching(n, l)
+            raise ValueError(f"degeneracy {degeneracy} != 2(2l+1) = {2 * (2 * l + 1)}")
+        return _tuple_new(cls, (n, l, energy, degeneracy))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ModelParameters:
-    deformation: DeformationParameter
-    hbar_omega0: float = 1.0
-    n_max: int = 24
+class ModelParameters(namedtuple("ModelParameters", "deformation hbar_omega0 n_max")):
+    """A deformation with its energy scale and shell enumeration bound."""
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.hbar_omega0) and self.hbar_omega0 > 0):
-            raise ValueError(f"hbar_omega0 must be positive, got {self.hbar_omega0!r}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max!r}")
+    __slots__ = ()
+
+    def __new__(cls, deformation: DeformationParameter, hbar_omega0: float = 1.0,
+                n_max: int = 24):
+        if not (math.isfinite(hbar_omega0) and hbar_omega0 > 0):
+            raise ValueError(f"hbar_omega0 must be positive, got {hbar_omega0!r}")
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max!r}")
         # The lowest level of shell n is (n, n) only for tau >= 0, and the
         # completeness check of a truncated scheme relies on it.
-        if self.deformation.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.deformation.tau!r}")
+        if deformation.tau < 0:
+            raise ValueError(f"tau must be >= 0, got {deformation.tau!r}")
+        return _tuple_new(cls, (deformation, hbar_omega0, n_max))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def allowed_l(n: int) -> list[int]:
@@ -166,32 +179,51 @@ def nilsson_energy(n: int, l: int, kappa_prime: float, hbar_omega: float = 1.0) 
     return hbar_omega * (n + 1.5) - hbar_omega * kappa_prime * (l * (l + 1) - mean_L2(n))
 
 
+@lru_cache(maxsize=32)
+def _shape(n_hi: int) -> tuple[tuple[int, int, int], ...]:
+    """(n, l, 2(2l+1)) of every level with 0 <= n <= n_hi, in enumeration order."""
+    return tuple((n, l, 2 * (2 * l + 1)) for n in range(n_hi + 1) for l in allowed_l(n))
+
+
+def _overflow(p: ModelParameters, n_hi: int) -> ValueError:
+    return ValueError(
+        f"energies of shells 0..{n_hi} overflow a float at tau={p.deformation.tau!r}, "
+        f"hbar_omega0={p.hbar_omega0!r}"
+    )
+
+
 def _levels_up_to(p: ModelParameters, n_hi: int) -> list[Level]:
     """All levels with 0 <= n <= n_hi, in (n, descending l) enumeration order.
 
     n_hi may exceed p.n_max, which lets a caller look past the bound.
-    Each energy equals energy(n, l, p) bit for bit.
+    Each energy equals energy(n, l, p) bit for bit.  Raises ValueError
+    when an energy would not fit in a float.
     """
     d = p.deformation
     _require_real(d, "energy")
     tau = d.tau
     hbar_omega0 = p.hbar_omega0
     if tau == 0.0:
-        return [Level(n, l, hbar_omega0 * n, 2 * (2 * l + 1))
-                for n in range(n_hi + 1) for l in allowed_l(n)]
+        if not math.isfinite(hbar_omega0 * n_hi):
+            raise _overflow(p, n_hi)
+        return [Level(n, l, hbar_omega0 * n, g) for n, l, g in _shape(n_hi)]
     # The same operations as q_bracket, q_bracket * q ** (n + 1) and
     # q * tanh(tau) * casimir_eigenvalue in energy().
-    sinh_tau = math.sinh(tau)
-    bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
-    q = math.exp(tau)
-    casimir_coeff = q * math.tanh(tau)
-    levels = []
-    for n in range(n_hi + 1):
-        shell = bracket[n] * q ** (n + 1)
-        for l in allowed_l(n):
-            e = hbar_omega0 * (shell - casimir_coeff * (bracket[l] * bracket[l + 1]))
-            levels.append(Level(n, l, e, 2 * (2 * l + 1)))
-    return levels
+    try:
+        sinh_tau = math.sinh(tau)
+        bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
+        q = math.exp(tau)
+        casimir_coeff = q * math.tanh(tau)
+        shell = [bracket[n] * q ** (n + 1) for n in range(n_hi + 1)]
+    except OverflowError:
+        raise _overflow(p, n_hi) from None
+    casimir = [casimir_coeff * (bracket[l] * bracket[l + 1]) for l in range(n_hi + 1)]
+    # shell and casimir are non-negative and increase with the index, so no
+    # energy exceeds this one in magnitude.
+    if not math.isfinite(hbar_omega0 * (shell[n_hi] + casimir[n_hi])):
+        raise _overflow(p, n_hi)
+    return [Level(n, l, hbar_omega0 * (shell[n] - casimir[l]), g)
+            for n, l, g in _shape(n_hi)]
 
 
 def enumerate_levels(p: ModelParameters) -> list[Level]:

@@ -5,7 +5,14 @@ import re
 
 import pytest
 
-from qshell.cli import RunConfig, _expand_grid, parse_args, run
+from qshell.cli import (
+    MAX_COUNT_LIMIT,
+    MAX_N_MAX,
+    RunConfig,
+    _expand_grid,
+    parse_args,
+    run,
+)
 from qshell.qmath import DeformationParameter
 from qshell.shells import build_scheme
 from qshell.spectrum import ModelParameters
@@ -70,6 +77,10 @@ def test_fit_grid_parsing():
         ["compare", "--dataset", "martin", "--slack", "-1"],
         ["magics", "--tau", "-0.038"],
         ["fit", "--dataset", "martin", "--grid", "0.02:100:1e-9"],
+        ["fit", "--dataset", "martin", "--grid", "0.02:0.020000001:1e-11"],
+        ["magics", "--n-max", "201"],
+        ["fit", "--dataset", "martin", "--n-max", "201"],
+        ["magics", "--count-limit", "1000001"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -77,6 +88,19 @@ def test_usage_errors_exit_2(argv, capsys):
         parse_args(argv)
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_collapsing_grid_is_a_grid_error(capsys):
+    # Points 1e-11 apart coincide once _expand_grid rounds them.
+    with pytest.raises(SystemExit):
+        parse_args(["fit", "--dataset", "martin", "--grid", "0.02:0.020000001:1e-11"])
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_caps_are_inclusive():
+    config = parse_args(["magics", "--n-max", str(MAX_N_MAX),
+                         "--count-limit", str(MAX_COUNT_LIMIT)])
+    assert (config.n_max, config.count_limit) == (MAX_N_MAX, MAX_COUNT_LIMIT)
 
 
 # ---------------------------------------------------------------- commands
@@ -227,6 +251,26 @@ def test_data_dir_env_overrides(tmp_path, monkeypatch):
     assert "tp 2 fp 23 fn 0" in out
 
 
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_local_name_does_not_shadow_bundled(tmp_path, monkeypatch, kind):
+    # A bare bundled name means the bundled dataset; ./martin is the local one.
+    local = tmp_path / "martin"
+    if kind == "file":
+        local.write_text("2\n8\n", encoding="utf-8")
+    else:
+        local.mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QSHELL_DATA_DIR", raising=False)
+    status, out = capture(RunConfig("compare", dataset_path="martin"))
+    assert status == 0
+    assert out.startswith("dataset martin (19 entries, slack 0)\n")
+    status, out = capture(RunConfig("compare", dataset_path="./martin"))
+    if kind == "file":
+        assert status == 0 and "tp 2 fp 23 fn 0" in out
+    else:
+        assert status == 1 and out == ""
+
+
 def test_errors_exit_1_and_keep_stdout_clean(capsys):
     status, out = capture(RunConfig("compare", dataset_path="nonesuch"))
     assert status == 1 and out == ""
@@ -235,6 +279,17 @@ def test_errors_exit_1_and_keep_stdout_clean(capsys):
     status, out = capture(RunConfig("levels", n_max=5))
     assert status == 1 and out == ""
     assert "n_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["magics", "--tau", "20"],
+    ["magics", "--tau", "300", "--n-max", "1"],
+    ["levels", "--hbar-omega0", "1e307"],
+])
+def test_energy_overflow_exits_1(argv, capsys):
+    status, out = capture(parse_args(argv))
+    assert status == 1 and out == ""
+    assert capsys.readouterr().err.startswith("qshell: error: ")
 
 
 def test_malformed_dataset_exits_1(tmp_path, capsys):

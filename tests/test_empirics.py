@@ -137,6 +137,17 @@ def test_data_dir_overrides_bundled(tmp_path):
         load_named_dataset("knight", data_dir=str(tmp_path))
 
 
+def test_bare_name_resolution(tmp_path, monkeypatch):
+    # A bundled bare name wins over a local file; another bare name falls
+    # back to a local file, and a path is always read as a file.
+    (tmp_path / "knight").write_text("2\n8\n", encoding="utf-8")
+    (tmp_path / "mine").write_text("2\n8\n20\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert load_named_dataset("knight").values() == [2, 8, 20, 40, 58, 92]
+    assert load_named_dataset("./knight").values() == [2, 8]
+    assert load_named_dataset("mine").values() == [2, 8, 20]
+
+
 def test_unknown_name_lists_choices():
     with pytest.raises(FileNotFoundError, match="martin"):
         load_named_dataset("nonesuch")
@@ -222,6 +233,47 @@ def test_report_is_order_insensitive():
     assert match_magics(PRIMARY_MAGICS, shuffled) == match_magics(
         PRIMARY_MAGICS, load_named_dataset("martin")
     )
+
+
+def reference_match_pairs(predicted, ds, slack, include_paren):
+    """The plain O(P*O) greedy loop that match_magics must agree with."""
+    observed = [e for e in ds.entries if include_paren or not e.parenthesized]
+    taken = [False] * len(observed)
+    pairs = []
+    for p in predicted:
+        for j, e in enumerate(observed):
+            if not taken[j] and abs(p - e.value) <= e.uncertainty + slack:
+                taken[j] = True
+                pairs.append((p, e.value))
+                break
+    return tuple(pairs), len(observed)
+
+
+@st.composite
+def observed_entries(draw):
+    values = draw(st.lists(st.integers(min_value=2, max_value=400), min_size=1,
+                           max_size=25, unique=True))
+    return tuple(
+        ObservedMagic(v, draw(st.integers(min_value=0, max_value=min(v, 40))), draw(st.booleans()))
+        for v in sorted(values)
+    )
+
+
+@given(
+    entries=observed_entries(),
+    predicted=st.lists(st.integers(min_value=1, max_value=450), max_size=30, unique=True),
+    slack=st.integers(min_value=0, max_value=20),
+    include_paren=st.booleans(),
+)
+def test_match_magics_equals_the_plain_greedy_loop(entries, predicted, slack, include_paren):
+    ds = ExperimentalDataset("random", entries)
+    predicted = sorted(predicted)
+    report = match_magics(predicted, ds, slack=slack, include_paren=include_paren)
+    pairs, observed = reference_match_pairs(predicted, ds, slack, include_paren)
+    assert report.matched_pairs == pairs
+    assert report.true_positives == len(pairs)
+    assert report.false_positives == len(predicted) - len(pairs)
+    assert report.false_negatives == observed - len(pairs)
 
 
 # ----------------------------------------------------------------- fitting

@@ -1,0 +1,120 @@
+"""The record contract: immutable, validated named tuples with stable fields."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qshell
+from qshell.cli import RunConfig
+from qshell.empirics import (
+    DatasetValidationError,
+    ExperimentalDataset,
+    FitResult,
+    MatchReport,
+    ObservedMagic,
+)
+from qshell.qmath import DeformationKind, DeformationParameter
+from qshell.shells import LevelScheme, MagicGrade, MagicRecord
+from qshell.spectrum import InvalidLevelError, Level, ModelParameters
+
+D = DeformationParameter(0.038)
+P = ModelParameters(D)
+GROUND = Level(0, 0, 0.0, 2)
+RECORD = MagicRecord(GROUND, 1.0, 2, MagicGrade.PRIMARY)
+SCHEME = LevelScheme((GROUND,), (2,), P)
+OBSERVED = ObservedMagic(58)
+DATASET = ExperimentalDataset("x", (ObservedMagic(2),))
+
+# (a valid record, a field change that must be rejected, the exception)
+INVALID_CHANGES = [
+    (D, {"tau": float("nan")}, ValueError),
+    (D, {"kind": "real"}, TypeError),
+    (GROUND, {"l": 1}, InvalidLevelError),
+    (GROUND, {"degeneracy": 6}, ValueError),
+    (P, {"n_max": 0}, ValueError),
+    (P, {"hbar_omega0": 0.0}, ValueError),
+    (P, {"deformation": DeformationParameter(-0.038)}, ValueError),
+    (RECORD, {"gap": 0.0}, ValueError),
+    (RECORD, {"count": 0}, ValueError),
+    (SCHEME, {"cumulative": (3,)}, ValueError),
+    (SCHEME, {"levels": ()}, ValueError),
+    (OBSERVED, {"value": 1}, ValueError),
+    (OBSERVED, {"uncertainty": 59}, ValueError),
+    (DATASET, {"entries": ()}, DatasetValidationError),
+]
+
+FIELDS = {
+    DeformationParameter: ("tau", "kind"),
+    Level: ("n", "l", "energy", "degeneracy"),
+    ModelParameters: ("deformation", "hbar_omega0", "n_max"),
+    MagicRecord: ("after_level", "gap", "count", "grade"),
+    LevelScheme: ("levels", "cumulative", "params"),
+    ObservedMagic: ("value", "uncertainty", "parenthesized"),
+    ExperimentalDataset: ("source", "entries"),
+    MatchReport: ("true_positives", "false_positives", "false_negatives", "matched_pairs", "f1"),
+    FitResult: ("tau_best", "score_best", "grid"),
+    RunConfig: ("command", "tau", "hbar_omega0", "n_max", "primary_gap", "secondary_gap",
+                "count_limit", "dataset_path", "slack", "format", "tau_grid"),
+}
+
+ALL_RECORDS = [
+    D, GROUND, P, RECORD, SCHEME, OBSERVED, DATASET,
+    MatchReport(1, 0, 0, ((2, 2),), 1.0),
+    FitResult(0.038, 1.0, ((0.038, 1.0),)),
+    RunConfig("magics"),
+]
+
+
+@pytest.mark.parametrize("record, change, error", INVALID_CHANGES)
+def test_replace_and_make_validate(record, change, error):
+    with pytest.raises(error):
+        record._replace(**change)
+    values = [change.get(name, value) for name, value in zip(record._fields, record)]
+    with pytest.raises(error):
+        type(record)._make(values)
+    with pytest.raises(error):
+        type(record)(*values)
+
+
+@pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda r: type(r).__name__)
+def test_fields_are_read_only(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    assert type(record)._make(record) == record
+    assert record._replace() == record
+    assert hash(record) == hash(type(record)(*record))
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_field_names_and_order(cls):
+    assert cls._fields == FIELDS[cls]
+
+
+def test_repr_defaults_and_normalisation():
+    assert repr(GROUND) == "Level(n=0, l=0, energy=0.0, degeneracy=2)"
+    assert OBSERVED == ObservedMagic(58, 0, False)
+    assert ModelParameters(D) == ModelParameters(D, 1.0, 24)
+    assert RunConfig("magics") == RunConfig(
+        "magics", 0.038, 1.0, 24, 0.39, 0.30, 1520, None, 0, "text", None)
+    tau = DeformationParameter(1)
+    assert type(tau.tau) is float and tau.kind is DeformationKind.REAL
+    assert DeformationParameter(kind=DeformationKind.REAL, tau=0.5).tau == 0.5
+
+
+def test_level_messages_name_the_broken_rule():
+    with pytest.raises(InvalidLevelError, match=r"\(n=2, l=1\) violates the branching rule"):
+        Level(2, 1, 0.0, 6)
+    with pytest.raises(ValueError, match=r"degeneracy 9 != 2\(2l\+1\) = 10"):
+        Level(2, 2, 0.0, 9)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # -S keeps site hooks from importing modules on qshell's behalf.
+    src = str(Path(qshell.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qshell.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

@@ -116,6 +116,19 @@ def test_underfilled_scheme_raises():
         build_scheme(params(tau=0.00138, n_max=bound + 8), 5452).levels
 
 
+@pytest.mark.parametrize("tau, hbar_omega0, n_max", [
+    (1.8, 1.0, 200),    # [n] q^(n+1) overflows to inf
+    (20.0, 1.0, 24),    # sinh(tau k) raises OverflowError
+    (0.038, 1e307, 24),
+    (0.0, 1e307, 24),
+])
+def test_energy_overflow_is_an_error(tau, hbar_omega0, n_max):
+    # Non-finite energies used to send the n_max search up without end.
+    params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
+    with pytest.raises(ValueError, match=r"overflow a float"):
+        build_scheme(params, 1520)
+
+
 def test_build_is_deterministic():
     a = build_scheme(params(), count_limit=1520)
     b = build_scheme(params(), count_limit=1520)
