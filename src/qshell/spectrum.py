@@ -65,8 +65,8 @@ class Level(namedtuple("Level", "n l energy degeneracy")):
     __slots__ = ()
 
     def __new__(cls, n: int, l: int, energy: float, degeneracy: int):
-        # The branching rule and capacity inline; _check_branching only
-        # words the error.
+        # Checked inline for speed; on a failure _check_branching raises if
+        # the branching rule is broken, else the capacity is wrong.
         if not (0 <= l <= n and (n - l) % 2 == 0 and degeneracy == 4 * l + 2):
             _check_branching(n, l)
             raise ValueError(f"degeneracy {degeneracy} != 2(2l+1) = {2 * (2 * l + 1)}")
