@@ -398,7 +398,7 @@ def run(config: RunConfig, out=None) -> int:
     try:
         text = _DISPATCH[config.command](config)
     except (InsufficientNMaxError, DatasetParseError, DatasetValidationError,
-            ValueError, OverflowError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"qshell: error: {exc}", file=sys.stderr)
         return 1
     sink.write(text)

@@ -146,7 +146,11 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
         raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
     levels = enumerate_levels(p)
     kept, totals = _truncated(sorted(levels, key=_sort_key), count_limit)
-    next_shell_floor = energy(p.n_max + 1, p.n_max + 1, p)
+    try:
+        next_shell_floor = energy(p.n_max + 1, p.n_max + 1, p)
+    except OverflowError:
+        # Beyond float range, so above every level of the table.
+        next_shell_floor = math.inf
     if not _is_complete(next_shell_floor, len(levels), kept, totals, count_limit):
         if next_shell_floor > kept[-1].energy:
             reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
