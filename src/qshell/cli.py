@@ -48,6 +48,11 @@ MAX_GRID_POINTS = 100_000
 # about 0.15 s; a fit costs that once per grid point.
 MAX_N_MAX = 200
 MAX_COUNT_LIMIT = 1_000_000
+# Largest total work of a fit: tau grid points times the levels of shells
+# 0..n_max (169 at the default n_max of 24).  A fit point costs about one
+# microsecond per level, so this bounds a fit to tens of seconds; the
+# 4001-point fine grid at the defaults is 676169.
+MAX_FIT_LEVELS = 10_000_000
 
 
 class RunConfig(namedtuple(
@@ -173,14 +178,27 @@ def parse_args(argv: list[str]) -> RunConfig:
     if hasattr(ns, "primary_gap"):
         if not (math.isfinite(ns.primary_gap) and math.isfinite(ns.secondary_gap)):
             parser.error("--primary-gap and --secondary-gap must be finite")
-        if not ns.secondary_gap < ns.primary_gap:
+        if ns.primary_gap < 0 or ns.secondary_gap < 0:
+            parser.error("--primary-gap and --secondary-gap must be >= 0")
+        # levels and fit never grade secondary closures.
+        if ns.command not in ("levels", "fit") and not ns.secondary_gap < ns.primary_gap:
             parser.error("--secondary-gap must be below --primary-gap")
     if hasattr(ns, "slack") and ns.slack < 0:
         parser.error(f"--slack must be >= 0, got {ns.slack}")
     if hasattr(ns, "grid_spec"):
         ns.tau_grid = _parse_grid_spec(parser, ns.grid_spec)
+        work = len(_expand_grid(ns.tau_grid)) * _level_count(ns.n_max)
+        if work > MAX_FIT_LEVELS:
+            parser.error(f"fit would build {work} levels (grid points x levels per "
+                         f"scheme), more than {MAX_FIT_LEVELS}; use a coarser --grid "
+                         f"or a smaller --n-max")
 
     return RunConfig(**{k: v for k, v in vars(ns).items() if k in RunConfig._fields})
+
+
+def _level_count(n_max: int) -> int:
+    # Shell n holds n // 2 + 1 levels; summed over n = 0..n_max.
+    return (n_max // 2 + 1) * ((n_max + 1) // 2 + 1)
 
 
 @lru_cache(maxsize=1)  # parse_args checks the grid that fit then scans

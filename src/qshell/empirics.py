@@ -14,7 +14,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .qmath import DeformationParameter
-from .shells import MagicGrade, build_scheme, detect_shells
+from .shells import build_scheme
 from .spectrum import ModelParameters
 
 __all__ = [
@@ -234,14 +234,19 @@ def predicted_primary_magics(
     hbar_omega0: float = 1.0,
     n_max: int = 24,
 ) -> list[int]:
-    """Primary magic numbers of the model at deformation tau."""
+    """Primary magic numbers of the model at deformation tau.
+
+    These are the counts of detect_shells' primary records, read straight
+    off the scheme: the cumulative count at level i closes a shell when
+    energy[i+1] - energy[i] > primary_gap.
+    """
     params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
-    scheme = build_scheme(params, count_limit)
-    # The secondary band is as narrow as floats allow, so detect_shells
-    # builds records only for gaps that reach primary_gap; one exactly at
-    # it grades secondary under the strict rule and is dropped below.
-    records = detect_shells(scheme, primary_gap, math.nextafter(primary_gap, -math.inf))
-    return [r.count for r in records if r.grade is MagicGrade.PRIMARY]
+    levels, cumulative, _ = build_scheme(params, count_limit)
+    if not math.isfinite(primary_gap):
+        raise ValueError("gap thresholds must be finite")
+    energies = [lev[2] for lev in levels]
+    return [count for low, high, count in zip(energies, energies[1:], cumulative)
+            if high - low > primary_gap]
 
 
 def fit_tau(

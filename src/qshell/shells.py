@@ -5,6 +5,11 @@ accumulated, and a gap between adjacent levels larger than the primary
 threshold closes a shell: the cumulative count at the closing level is a
 magic number.  Gaps in the secondary band are reported as weaker
 closures.
+
+The sort has one key, the energy.  It reads the table in (n, ascending l)
+order, and Python's sort is stable, so levels of equal energy keep that
+order: the result equals a sort on (energy, n, l), ties at tau = 0
+included, without building a key tuple per level.
 """
 
 import math
@@ -12,7 +17,7 @@ from collections import namedtuple
 from enum import Enum
 from operator import itemgetter
 
-from .spectrum import Level, ModelParameters, _levels_up_to, energy, enumerate_levels
+from .spectrum import Level, ModelParameters, _levels_up_to, _shape, energy, enumerate_levels
 
 __all__ = [
     "MagicGrade",
@@ -82,24 +87,27 @@ class LevelScheme(namedtuple("LevelScheme", "levels cumulative params")):
         return cls(*iterable)
 
 
-_sort_key = itemgetter(2, 0, 1)  # energy, n, l
-
-
 # Shells added per step when searching for the n_max to suggest.
 _N_MAX_STEP = 8
 
 
+_energy = itemgetter(2)
+
+
+def _sorted(table: list[Level], n_hi: int) -> list[Level]:
+    # The stable one-key sort of the module docstring.
+    return sorted(map(table.__getitem__, _shape(n_hi)[3]), key=_energy)
+
+
 def _truncated(ordered: list[Level], count_limit: int) -> tuple[list[Level], list[int]]:
-    kept = []
     totals = []
     running = 0
     for lev in ordered:
-        if running + lev.degeneracy > count_limit:
+        running += lev[3]  # degeneracy
+        if running > count_limit:
             break
-        running += lev.degeneracy
-        kept.append(lev)
         totals.append(running)
-    return kept, totals
+    return ordered[:len(totals)], totals
 
 
 def _is_complete(next_shell_floor: float, enumerated: int, kept: list[Level],
@@ -124,7 +132,7 @@ def _required_n_max(p: ModelParameters, count_limit: int) -> int:
         n_hi = n + _N_MAX_STEP
         table = _levels_up_to(p, n_hi + 1)
         floors = {lev.n: lev.energy for lev in table if lev.l == lev.n}
-        ordered = sorted(table, key=_sort_key)
+        ordered = _sorted(table, n_hi + 1)
         while n < n_hi:
             n += 1
             levels = [lev for lev in ordered if lev.n <= n]
@@ -145,7 +153,7 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     if count_limit < 2:
         raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
     levels = enumerate_levels(p)
-    kept, totals = _truncated(sorted(levels, key=_sort_key), count_limit)
+    kept, totals = _truncated(_sorted(levels, p.n_max), count_limit)
     try:
         next_shell_floor = energy(p.n_max + 1, p.n_max + 1, p)
     except OverflowError:
@@ -172,10 +180,14 @@ def detect_shells(
     """Scan adjacent-level gaps and grade them against the two thresholds.
 
     Strict comparisons: a gap qualifies as primary when gap > primary_gap,
-    as secondary when secondary_gap < gap <= primary_gap.
+    as secondary when secondary_gap < gap <= primary_gap.  Thresholds must
+    satisfy 0 <= secondary_gap < primary_gap, so every graded gap is
+    positive.
     """
     if not (math.isfinite(primary_gap) and math.isfinite(secondary_gap)):
         raise ValueError("gap thresholds must be finite")
+    if secondary_gap < 0:
+        raise ValueError(f"secondary_gap must be >= 0, got {secondary_gap!r}")
     if not secondary_gap < primary_gap:
         raise ValueError(
             f"secondary_gap {secondary_gap!r} must be below primary_gap {primary_gap!r}"

@@ -19,14 +19,17 @@ scheme as a per-tau table: the brackets [k] = sinh(tau k)/sinh(tau) for
 k <= n_max + 1, q and q tanh(tau) once per tau, [n] q^(n+1) once per
 shell and q tanh(tau) [l][l+1] once per l, so each level costs one
 difference and one product.  The levels follow the tau-independent
-(n, l, 2(2l+1)) shape of the table, which is cached.  The table uses the
-same float operations in the same order as energy(), so both give
-bit-identical energies (the CSV and JSON output print repr(energy)).
+(n, l, 2(2l+1)) shape of the table, which is cached and checked against
+Level's rules once per n_max, so the per-tau table makes its Level
+records without checking them again.  The table uses the same float
+operations in the same order as energy(), so both give bit-identical
+energies (the CSV and JSON output print repr(energy)).
 """
 
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import repeat
 
 from .qmath import DeformationKind, DeformationParameter, q_bracket
 
@@ -180,9 +183,24 @@ def nilsson_energy(n: int, l: int, kappa_prime: float, hbar_omega: float = 1.0) 
 
 
 @lru_cache(maxsize=32)
-def _shape(n_hi: int) -> tuple[tuple[int, int, int], ...]:
-    """(n, l, 2(2l+1)) of every level with 0 <= n <= n_hi, in enumeration order."""
-    return tuple((n, l, 2 * (2 * l + 1)) for n in range(n_hi + 1) for l in allowed_l(n))
+def _shape(n_hi: int) -> tuple[tuple[int, ...], ...]:
+    """The tau-independent columns of the levels with 0 <= n <= n_hi.
+
+    Returns (ns, ls, degeneracies, by_n_l): the n, l and 2(2l+1) of each
+    level in (n, descending l) enumeration order, and the indices that
+    visit the levels in (n, ascending l) order.  Every (n, l, 2(2l+1))
+    passes Level's check here, once per n_hi, so the per-tau table can
+    build its levels without repeating it.
+    """
+    ns, ls, degeneracies = [], [], []
+    for n in range(n_hi + 1):
+        for l in allowed_l(n):
+            level = Level(n, l, 0.0, 2 * (2 * l + 1))
+            ns.append(n)
+            ls.append(l)
+            degeneracies.append(level.degeneracy)
+    by_n_l = sorted(range(len(ns)), key=lambda i: (ns[i], ls[i]))
+    return tuple(ns), tuple(ls), tuple(degeneracies), tuple(by_n_l)
 
 
 def _overflow(p: ModelParameters, n_hi: int) -> ValueError:
@@ -203,27 +221,30 @@ def _levels_up_to(p: ModelParameters, n_hi: int) -> list[Level]:
     _require_real(d, "energy")
     tau = d.tau
     hbar_omega0 = p.hbar_omega0
+    ns, ls, degeneracies, _ = _shape(n_hi)
     if tau == 0.0:
         if not math.isfinite(hbar_omega0 * n_hi):
             raise _overflow(p, n_hi)
-        return [Level(n, l, hbar_omega0 * n, g) for n, l, g in _shape(n_hi)]
-    # The same operations as q_bracket, q_bracket * q ** (n + 1) and
-    # q * tanh(tau) * casimir_eigenvalue in energy().
-    try:
-        sinh_tau = math.sinh(tau)
-        bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
-        q = math.exp(tau)
-        casimir_coeff = q * math.tanh(tau)
-        shell = [bracket[n] * q ** (n + 1) for n in range(n_hi + 1)]
-    except OverflowError:
-        raise _overflow(p, n_hi) from None
-    casimir = [casimir_coeff * (bracket[l] * bracket[l + 1]) for l in range(n_hi + 1)]
-    # shell and casimir are non-negative and increase with the index, so no
-    # energy exceeds this one in magnitude.
-    if not math.isfinite(hbar_omega0 * (shell[n_hi] + casimir[n_hi])):
-        raise _overflow(p, n_hi)
-    return [Level(n, l, hbar_omega0 * (shell[n] - casimir[l]), g)
-            for n, l, g in _shape(n_hi)]
+        energies = [hbar_omega0 * n for n in ns]
+    else:
+        # The same operations as q_bracket, q_bracket * q ** (n + 1) and
+        # q * tanh(tau) * casimir_eigenvalue in energy().
+        try:
+            sinh_tau = math.sinh(tau)
+            bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
+            q = math.exp(tau)
+            casimir_coeff = q * math.tanh(tau)
+            shell = [bracket[n] * q ** (n + 1) for n in range(n_hi + 1)]
+        except OverflowError:
+            raise _overflow(p, n_hi) from None
+        casimir = [casimir_coeff * (bracket[l] * bracket[l + 1]) for l in range(n_hi + 1)]
+        # shell and casimir are non-negative and increase with the index, so
+        # no energy exceeds this one in magnitude.
+        if not math.isfinite(hbar_omega0 * (shell[n_hi] + casimir[n_hi])):
+            raise _overflow(p, n_hi)
+        energies = [hbar_omega0 * (shell[n] - casimir[l]) for n, l in zip(ns, ls)]
+    # _shape checked every (n, l, degeneracy), and Level checks nothing else.
+    return list(map(_tuple_new, repeat(Level), zip(ns, ls, energies, degeneracies)))
 
 
 def enumerate_levels(p: ModelParameters) -> list[Level]:

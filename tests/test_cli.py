@@ -7,6 +7,7 @@ import pytest
 
 from qshell.cli import (
     MAX_COUNT_LIMIT,
+    MAX_FIT_LEVELS,
     MAX_N_MAX,
     RunConfig,
     _expand_grid,
@@ -81,6 +82,13 @@ def test_fit_grid_parsing():
         ["magics", "--n-max", "201"],
         ["fit", "--dataset", "martin", "--n-max", "201"],
         ["magics", "--count-limit", "1000001"],
+        ["table", "--tau", "0", "--secondary-gap", "-1"],
+        ["levels", "--secondary-gap", "-0.5"],
+        ["fit", "--dataset", "martin", "--secondary-gap", "-1"],
+        ["fit", "--dataset", "martin", "--primary-gap", "-1"],
+        ["fit", "--dataset", "martin", "--n-max", "200", "--count-limit", "1000000",
+         "--grid", "0.02:2:0.00002"],
+        ["fit", "--dataset", "martin", "--n-max", "199", "--grid", "0.001:1:0.001"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -101,6 +109,39 @@ def test_caps_are_inclusive():
     config = parse_args(["magics", "--n-max", str(MAX_N_MAX),
                          "--count-limit", str(MAX_COUNT_LIMIT)])
     assert (config.n_max, config.count_limit) == (MAX_N_MAX, MAX_COUNT_LIMIT)
+    # Shells 0..198 hold 100 * 100 levels, so 1000 grid points reach the
+    # fit work cap exactly.
+    config = parse_args(["fit", "--dataset", "martin", "--n-max", "198",
+                         "--count-limit", str(MAX_COUNT_LIMIT), "--grid", "0.001:1:0.001"])
+    assert len(_expand_grid(config.tau_grid)) * 100 * 100 == MAX_FIT_LEVELS
+
+
+def test_fit_work_cap_names_the_work(capsys):
+    with pytest.raises(SystemExit):
+        parse_args(["fit", "--dataset", "martin", "--n-max", "199", "--grid", "0.001:1:0.001"])
+    assert "fit would build 10100000 levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["levels"], ["magics"], ["table"], ["compare", "--dataset", "martin"],
+    ["fit", "--dataset", "martin"], ["export"],
+])
+@pytest.mark.parametrize("flag", ["--primary-gap", "--secondary-gap"])
+def test_negative_gap_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        parse_args(command + [flag, "-1"])
+    assert err.value.code == 2
+    assert "--primary-gap and --secondary-gap must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--dataset", "martin", "--primary-gap", "0.2", "--secondary-gap", "0.3"],
+    ["levels", "--primary-gap", "0.1"],
+])
+def test_ungraded_secondary_gap_is_not_compared(argv):
+    # levels and fit never grade secondary closures.
+    config = parse_args(argv)
+    assert config.secondary_gap >= config.primary_gap
 
 
 # ---------------------------------------------------------------- commands
@@ -234,6 +275,15 @@ def test_fit_passes_the_energy_scale_through():
     assert capture(parse_args(scaled)) == capture(parse_args(argv))
     status, out = capture(parse_args(argv + ["--hbar-omega0", "2"]))
     assert status == 0 and out != capture(parse_args(argv))[1]
+
+
+def test_fit_below_the_default_secondary_gap_runs():
+    # --primary-gap 0.25 sits below the default --secondary-gap 0.30, which
+    # fit never reads; it used to exit 2.
+    argv = ["fit", "--dataset", "martin", "--grid", "0.03:0.046:0.004", "--primary-gap", "0.25"]
+    status, out = capture(parse_args(argv))
+    assert status == 0
+    assert out == capture(parse_args(argv + ["--secondary-gap", "0.1"]))[1]
 
 
 def test_dataset_by_path(tmp_path):

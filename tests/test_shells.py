@@ -1,10 +1,14 @@
+import math
 import re
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qshell.empirics import predicted_primary_magics
 from qshell.qmath import DeformationParameter
 from qshell.shells import (
+    _N_MAX_STEP,
     InsufficientNMaxError,
     LevelScheme,
     MagicGrade,
@@ -12,8 +16,9 @@ from qshell.shells import (
     build_scheme,
     detect_shells,
     render_table,
+    _sorted,
 )
-from qshell.spectrum import Level, ModelParameters
+from qshell.spectrum import Level, ModelParameters, _levels_up_to, enumerate_levels
 
 PRIMARY_MAGICS = [
     2, 8, 20, 34, 40, 58, 92, 138, 198, 254, 268, 338, 440, 556, 676,
@@ -105,6 +110,72 @@ def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
     assert scheme.cumulative == larger.cumulative
 
 
+# The sort key before the one-key sort; build_scheme's docstring order.
+_energy_n_l = itemgetter(2, 0, 1)
+
+
+def _old_truncated(ordered, count_limit):
+    kept, totals, running = [], [], 0
+    for lev in ordered:
+        if running + lev.degeneracy > count_limit:
+            break
+        running += lev.degeneracy
+        kept.append(lev)
+        totals.append(running)
+    return kept, totals
+
+
+taus = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5))
+
+
+@settings(deadline=None)
+@given(tau=taus, hw=st.floats(min_value=0.1, max_value=5.0),
+       n_max=st.integers(min_value=1, max_value=40))
+def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max):
+    # Both tables: build_scheme's (shells 0..n_max) and the one
+    # _required_n_max sorts (shells 0..n_max + _N_MAX_STEP + 1).
+    p = params(tau=tau, hw=hw, n_max=n_max)
+    for n_hi, table in ((n_max, enumerate_levels(p)),
+                        (n_max + _N_MAX_STEP + 1, _levels_up_to(p, n_max + _N_MAX_STEP + 1))):
+        assert _sorted(table, n_hi) == sorted(table, key=_energy_n_l)
+
+
+@settings(deadline=None)
+@given(tau=taus, n_max=st.integers(min_value=1, max_value=40),
+       count_limit=st.integers(min_value=2, max_value=3000))
+def test_build_scheme_keeps_the_old_sort_and_cut(tau, n_max, count_limit):
+    p = params(tau=tau, n_max=n_max)
+    try:
+        scheme = build_scheme(p, count_limit)
+    except InsufficientNMaxError:
+        return
+    kept, totals = _old_truncated(sorted(enumerate_levels(p), key=_energy_n_l), count_limit)
+    assert scheme.levels == tuple(kept)
+    assert scheme.cumulative == tuple(totals)
+
+
+def _accepted_scheme(tau, n_max, count_limit):
+    try:
+        return build_scheme(params(tau=tau, n_max=n_max), count_limit)
+    except InsufficientNMaxError as err:
+        return build_scheme(params(tau=tau, n_max=_suggested_n_max(err)), count_limit)
+
+
+@settings(deadline=None)
+@given(tau=taus, n_max=st.integers(min_value=1, max_value=40),
+       count_limit=st.integers(min_value=2, max_value=3000),
+       gap=st.floats(min_value=1e-6, max_value=2.0), at_gap=st.integers(min_value=0))
+def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit, gap, at_gap):
+    # The records-free reading equals detect_shells with the narrowest
+    # secondary band.  at_gap picks a threshold exactly at one of the gaps.
+    scheme = _accepted_scheme(tau, n_max, count_limit)
+    energies = [lev.energy for lev in scheme.levels]
+    gaps = [b - a for a, b in zip(energies, energies[1:]) if b - a > 0]
+    for g in [gap] + ([gaps[at_gap % len(gaps)]] if gaps else []):
+        expected = primaries(detect_shells(scheme, g, math.nextafter(g, -math.inf)))
+        assert predicted_primary_magics(tau, g, count_limit, 1.0, scheme.params.n_max) == expected
+
+
 def test_underfilled_scheme_raises():
     # Shells 0..19 hold 3080 particles and shell 20 starts above all of
     # them, yet more levels fit within 5452: the bound, not the count
@@ -164,6 +235,15 @@ def test_gap_comparison_is_strict():
     records = detect_shells(scheme, primary_gap=1.0, secondary_gap=0.5)
     assert [r.grade for r in records] == [MagicGrade.SECONDARY]
     assert detect_shells(scheme, primary_gap=2.0, secondary_gap=1.0) == []
+
+
+def test_negative_secondary_gap_rejected():
+    # Tied levels at tau = 0 have gap 0.0, which a negative threshold would
+    # grade; the error names the threshold, not the record.
+    scheme = build_scheme(params(tau=0.0), count_limit=40)
+    with pytest.raises(ValueError, match="secondary_gap must be >= 0"):
+        detect_shells(scheme, primary_gap=0.39, secondary_gap=-1.0)
+    assert primaries(detect_shells(scheme, primary_gap=0.39, secondary_gap=0.0)) == [2, 8, 20]
 
 
 def test_threshold_ordering_validated():

@@ -16,6 +16,8 @@ from qshell.spectrum import (
     enumerate_levels,
     mean_L2,
     nilsson_energy,
+    _levels_up_to,
+    _shape,
 )
 
 D038 = DeformationParameter(0.038)
@@ -318,3 +320,42 @@ def test_level_validation():
         Level(2, 1, 2.0, 6)
     with pytest.raises(ValueError):
         Level(2, 2, 2.0, 8)  # capacity must be 2(2l+1) = 10
+
+
+# ------------------------------------------------------------ level shape
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.038, 0.5])
+@pytest.mark.parametrize("n_hi", [1, 2, 24, 33])
+def test_table_levels_are_valid_levels(tau, n_hi):
+    # The table builds its levels without Level.__new__; each must still
+    # be a Level that Level's own check accepts unchanged.
+    p = params(tau, n_max=n_hi)
+    for table in (enumerate_levels(p), _levels_up_to(p, n_hi), _levels_up_to(p, n_hi + 9)):
+        for lev in table:
+            assert type(lev) is Level
+            assert Level._make(lev) == lev
+
+
+def test_shape_columns():
+    ns, ls, degeneracies, by_n_l = _shape(4)
+    assert list(zip(ns, ls)) == [(0, 0), (1, 1), (2, 2), (2, 0), (3, 3), (3, 1),
+                                 (4, 4), (4, 2), (4, 0)]
+    assert degeneracies == tuple(2 * (2 * l + 1) for l in ls)
+    assert [(ns[i], ls[i]) for i in by_n_l] == sorted(zip(ns, ls))
+
+
+@pytest.mark.parametrize("bad_l", [
+    lambda n: [n, n - 1],   # parity
+    lambda n: [n + 2, n],   # l > n
+])
+def test_shape_checks_every_level(monkeypatch, bad_l):
+    import qshell.spectrum as spectrum
+
+    monkeypatch.setattr(spectrum, "allowed_l", bad_l)
+    _shape.cache_clear()
+    try:
+        with pytest.raises(InvalidLevelError, match="branching rule"):
+            _shape(3)
+    finally:
+        _shape.cache_clear()
