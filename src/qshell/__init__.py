@@ -7,12 +7,7 @@ the q-bracket primitive, the spectrum, level-scheme and magic-number
 machinery, bundled observational datasets, and a grid-search fit of tau.
 """
 
-from .qmath import (
-    DeformationKind,
-    DeformationParameter,
-    SingularDeformationError,
-    q_bracket,
-)
+from .qmath import DeformationParameter, q_bracket
 from .spectrum import (
     InvalidLevelError,
     Level,
@@ -22,8 +17,6 @@ from .spectrum import (
     energy,
     energy_taylor,
     enumerate_levels,
-    mean_L2,
-    nilsson_energy,
 )
 from .shells import (
     InsufficientNMaxError,

@@ -37,8 +37,6 @@ from .spectrum import ModelParameters
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
-COMMANDS = ("levels", "magics", "table", "compare", "fit", "export")
-
 # Largest tau grid `fit --grid` may expand to.
 MAX_GRID_POINTS = 100_000
 # Largest --n-max and --count-limit.  Memory grows as n_max**2, and a
@@ -67,36 +65,39 @@ class RunConfig(namedtuple(
     __slots__ = ()
 
 
-def _add_model_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tau", type=float, default=0.038,
-                     help="deformation parameter, >= 0 (default 0.038)")
-    _add_scale_options(sub)
-
-
-def _add_scale_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--hbar-omega0", dest="hbar_omega0", type=float, default=1.0,
-                     help="energy scale (default 1.0)")
-    sub.add_argument("--n-max", dest="n_max", type=int, default=24,
-                     help="shell enumeration bound (default 24)")
-
-
-def _add_shell_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--primary-gap", "--gap", dest="primary_gap", type=float,
-                     default=DEFAULT_PRIMARY_GAP,
-                     help="primary shell-gap threshold (default 0.39)")
-    sub.add_argument("--secondary-gap", dest="secondary_gap", type=float,
-                     default=DEFAULT_SECONDARY_GAP,
-                     help="secondary shell-gap threshold (default 0.30)")
-    sub.add_argument("--count-limit", dest="count_limit", type=int,
-                     default=DEFAULT_COUNT_LIMIT,
-                     help="occupancy truncation of the scheme (default 1520)")
-
-
-def _add_dataset_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dataset", dest="dataset_path", required=True,
-                     help="bundled dataset name or path to a dataset file")
-    sub.add_argument("--slack", type=int, default=0,
-                     help="extra matching window on top of uncertainties (default 0)")
+# The options of each group, in the order help lists them.
+_OPTIONS = {
+    "tau": [
+        (("--tau",), dict(type=float, default=0.038,
+                          help="deformation parameter, >= 0 (default 0.038)")),
+    ],
+    "scale": [
+        (("--hbar-omega0",), dict(dest="hbar_omega0", type=float, default=1.0,
+                                  help="energy scale (default 1.0)")),
+        (("--n-max",), dict(dest="n_max", type=int, default=24,
+                            help="shell enumeration bound (default 24)")),
+    ],
+    "shell": [
+        (("--primary-gap", "--gap"), dict(dest="primary_gap", type=float,
+                                          default=DEFAULT_PRIMARY_GAP,
+                                          help="primary shell-gap threshold (default 0.39)")),
+        (("--secondary-gap",), dict(dest="secondary_gap", type=float,
+                                    default=DEFAULT_SECONDARY_GAP,
+                                    help="secondary shell-gap threshold (default 0.30)")),
+        (("--count-limit",), dict(dest="count_limit", type=int, default=DEFAULT_COUNT_LIMIT,
+                                  help="occupancy truncation of the scheme (default 1520)")),
+    ],
+    "dataset": [
+        (("--dataset",), dict(dest="dataset_path", required=True,
+                              help="bundled dataset name or path to a dataset file")),
+        (("--slack",), dict(type=int, default=0,
+                            help="extra matching window on top of uncertainties (default 0)")),
+    ],
+    "grid": [
+        (("--grid",), dict(dest="grid_spec", default="0.02:0.06:0.002",
+                           help="tau grid as lo:hi:step (default 0.02:0.06:0.002)")),
+    ],
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,40 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deformed-oscillator shell structure: levels, magic numbers, fits.",
     )
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    levels = subs.add_parser("levels", help="print the truncated level scheme")
-    _add_model_options(levels)
-    _add_shell_options(levels)
-    levels.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    magics = subs.add_parser("magics", help="print primary magic numbers")
-    _add_model_options(magics)
-    _add_shell_options(magics)
-    magics.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    table = subs.add_parser("table", help="render the level scheme with gaps marked")
-    _add_model_options(table)
-    _add_shell_options(table)
-
-    compare = subs.add_parser("compare", help="score predictions against a dataset")
-    _add_model_options(compare)
-    _add_shell_options(compare)
-    _add_dataset_options(compare)
-    compare.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    fit = subs.add_parser("fit", help="grid-search the deformation against a dataset")
-    _add_scale_options(fit)
-    _add_shell_options(fit)
-    _add_dataset_options(fit)
-    fit.add_argument("--grid", dest="grid_spec", default="0.02:0.06:0.002",
-                     help="tau grid as lo:hi:step (default 0.02:0.06:0.002)")
-    fit.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    export = subs.add_parser("export", help="machine-readable scheme with gap annotations")
-    _add_model_options(export)
-    _add_shell_options(export)
-    export.add_argument("--format", choices=("csv", "json"), default="csv")
-
+    for name, (_, help_text, groups, formats) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for group in groups:
+            for flags, options in _OPTIONS[group]:
+                sub.add_argument(*flags, **options)
+        if formats:
+            sub.add_argument("--format", choices=formats, default=formats[0])
     return parser
 
 
@@ -219,120 +193,73 @@ def _config_dict(config: RunConfig) -> dict:
             for name, value in zip(config._fields, config)}
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit(config: RunConfig, header: tuple[str, ...], rows: list, payload: dict) -> str:
+    """The csv (header and rows) or json (config and payload) output of a command.
 
-
-def _json_text(payload: dict) -> str:
+    csv writes a float as its repr and None as an empty field.
+    """
+    if config.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    payload = {"config": _config_dict(config), **payload}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _grade_after(records) -> dict:
-    return {(r.after_level.n, r.after_level.l): r for r in records}
+def _dicts(header: tuple[str, ...], rows: list) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
 
 
-_LEVEL_ROW = "{:>3} {:>3} {:>8} {:>8} {:>6}"
+def _scheme(config: RunConfig, graded: bool = True):
+    """The configured scheme and, if graded, its shell closures."""
+    params = ModelParameters(DeformationParameter(config.tau), config.hbar_omega0, config.n_max)
+    scheme = build_scheme(params, config.count_limit)
+    if not graded:
+        return scheme, []
+    return scheme, detect_shells(scheme, config.primary_gap, config.secondary_gap)
+
+
+_LEVEL_FIELDS = ("n", "l", "energy", "degeneracy", "cumulative", "gap_to_next", "magic_grade")
+
+
+def _level_rows(scheme, records) -> list[tuple]:
+    """One row of _LEVEL_FIELDS per level; the last level has no gap_to_next."""
+    grades = {(r.after_level.n, r.after_level.l): r.grade.value for r in records}
+    levels = scheme.levels
+    gaps = [b.energy - a.energy for a, b in zip(levels, levels[1:])] + [None]
+    return [(lev.n, lev.l, lev.energy, lev.degeneracy, cum, gap, grades.get((lev.n, lev.l)))
+            for lev, cum, gap in zip(levels, scheme.cumulative, gaps)]
 
 
 def _cmd_levels(config: RunConfig) -> str:
-    params = ModelParameters(DeformationParameter(config.tau), config.hbar_omega0, config.n_max)
-    scheme = build_scheme(params, config.count_limit)
+    # levels never grades, so it ignores the gap thresholds.
+    scheme, _ = _scheme(config, graded=False)
     if config.format == "text":
-        lines = [_LEVEL_ROW.format("n", "l", "energy", "2(2l+1)", "total")]
-        for lev, cum in zip(scheme.levels, scheme.cumulative):
-            lines.append(
-                _LEVEL_ROW.format(lev.n, lev.l, f"{lev.energy:.3f}", lev.degeneracy, cum)
-            )
-        return "\n".join(lines) + "\n"
-    if config.format == "csv":
-        rows = [
-            [lev.n, lev.l, repr(lev.energy), lev.degeneracy, cum]
-            for lev, cum in zip(scheme.levels, scheme.cumulative)
-        ]
-        return _csv_text(["n", "l", "energy", "degeneracy", "cumulative"], rows)
-    payload = {
-        "config": _config_dict(config),
-        "levels": [
-            {
-                "n": lev.n,
-                "l": lev.l,
-                "energy": lev.energy,
-                "degeneracy": lev.degeneracy,
-                "cumulative": cum,
-            }
-            for lev, cum in zip(scheme.levels, scheme.cumulative)
-        ],
-    }
-    return _json_text(payload)
+        return render_table(scheme, [])
+    header = _LEVEL_FIELDS[:5]
+    rows = [row[:5] for row in _level_rows(scheme, [])]
+    return _emit(config, header, rows, {"levels": _dicts(header, rows)})
 
 
 def _cmd_export(config: RunConfig) -> str:
-    params = ModelParameters(DeformationParameter(config.tau), config.hbar_omega0, config.n_max)
-    scheme = build_scheme(params, config.count_limit)
-    records = detect_shells(scheme, config.primary_gap, config.secondary_gap)
-    graded = _grade_after(records)
-    rows = []
-    for i, (lev, cum) in enumerate(zip(scheme.levels, scheme.cumulative)):
-        nxt = scheme.levels[i + 1].energy - lev.energy if i + 1 < len(scheme.levels) else None
-        record = graded.get((lev.n, lev.l))
-        rows.append(
-            {
-                "n": lev.n,
-                "l": lev.l,
-                "energy": lev.energy,
-                "degeneracy": lev.degeneracy,
-                "cumulative": cum,
-                "gap_to_next": nxt,
-                "magic_grade": record.grade.value if record else None,
-            }
-        )
-    if config.format == "csv":
-        csv_rows = [
-            [
-                r["n"],
-                r["l"],
-                repr(r["energy"]),
-                r["degeneracy"],
-                r["cumulative"],
-                "" if r["gap_to_next"] is None else repr(r["gap_to_next"]),
-                r["magic_grade"] or "",
-            ]
-            for r in rows
-        ]
-        header = ["n", "l", "energy", "degeneracy", "cumulative", "gap_to_next", "magic_grade"]
-        return _csv_text(header, csv_rows)
-    return _json_text({"config": _config_dict(config), "levels": rows})
+    rows = _level_rows(*_scheme(config))
+    return _emit(config, _LEVEL_FIELDS, rows, {"levels": _dicts(_LEVEL_FIELDS, rows)})
 
 
 def _cmd_magics(config: RunConfig) -> str:
-    params = ModelParameters(DeformationParameter(config.tau), config.hbar_omega0, config.n_max)
-    scheme = build_scheme(params, config.count_limit)
-    records = detect_shells(scheme, config.primary_gap, config.secondary_gap)
+    _, records = _scheme(config)
     primaries = [r for r in records if r.grade is MagicGrade.PRIMARY]
     if config.format == "text":
         return "".join(f"{r.count}\n" for r in primaries)
-    if config.format == "csv":
-        rows = [[r.count, repr(r.gap), r.after_level.n, r.after_level.l] for r in primaries]
-        return _csv_text(["count", "gap", "after_n", "after_l"], rows)
-    payload = {
-        "config": _config_dict(config),
-        "magics": [
-            {"count": r.count, "gap": r.gap, "after_n": r.after_level.n, "after_l": r.after_level.l}
-            for r in primaries
-        ],
-    }
-    return _json_text(payload)
+    header = ("count", "gap", "after_n", "after_l")
+    rows = [(r.count, r.gap, r.after_level.n, r.after_level.l) for r in primaries]
+    return _emit(config, header, rows, {"magics": _dicts(header, rows)})
 
 
 def _cmd_table(config: RunConfig) -> str:
-    params = ModelParameters(DeformationParameter(config.tau), config.hbar_omega0, config.n_max)
-    scheme = build_scheme(params, config.count_limit)
-    records = detect_shells(scheme, config.primary_gap, config.secondary_gap)
-    return render_table(scheme, records)
+    return render_table(*_scheme(config))
 
 
 def _load_dataset_for(config: RunConfig):
@@ -341,9 +268,7 @@ def _load_dataset_for(config: RunConfig):
 
 def _cmd_compare(config: RunConfig) -> str:
     dataset = _load_dataset_for(config)
-    params = ModelParameters(DeformationParameter(config.tau), config.hbar_omega0, config.n_max)
-    scheme = build_scheme(params, config.count_limit)
-    records = detect_shells(scheme, config.primary_gap, config.secondary_gap)
+    _, records = _scheme(config)
     predicted = [r.count for r in records if r.grade is MagicGrade.PRIMARY]
     report = match_magics(predicted, dataset, slack=config.slack, include_paren=False)
     matched_p = {p for p, _ in report.matched_pairs}
@@ -359,13 +284,10 @@ def _cmd_compare(config: RunConfig) -> str:
         lines.append(f"tp {report.true_positives} fp {report.false_positives} fn {report.false_negatives}")
         lines.append(f"f1 {report.f1:.6f}")
         return "\n".join(lines) + "\n"
-    if config.format == "csv":
-        rows = [["pair", p, o] for p, o in report.matched_pairs]
-        rows += [["unmatched-predicted", p, ""] for p in unmatched_p]
-        rows += [["unmatched-observed", "", o] for o in unmatched_o]
-        return _csv_text(["kind", "predicted", "observed"], rows)
-    payload = {
-        "config": _config_dict(config),
+    rows = [("pair", p, o) for p, o in report.matched_pairs]
+    rows += [("unmatched-predicted", p, "") for p in unmatched_p]
+    rows += [("unmatched-observed", "", o) for o in unmatched_o]
+    return _emit(config, ("kind", "predicted", "observed"), rows, {
         "dataset": dataset.source,
         "pairs": [list(pair) for pair in report.matched_pairs],
         "unmatched_predicted": unmatched_p,
@@ -374,8 +296,7 @@ def _cmd_compare(config: RunConfig) -> str:
         "fp": report.false_positives,
         "fn": report.false_negatives,
         "f1": report.f1,
-    }
-    return _json_text(payload)
+    })
 
 
 def _cmd_fit(config: RunConfig) -> str:
@@ -387,26 +308,27 @@ def _cmd_fit(config: RunConfig) -> str:
         lines = [f"tau {tau:.6f} f1 {score:.6f}" for tau, score in result.grid]
         lines.append(f"best tau {result.tau_best:.6f} f1 {result.score_best:.6f}")
         return "\n".join(lines) + "\n"
-    if config.format == "csv":
-        rows = [[repr(tau), repr(score)] for tau, score in result.grid]
-        return _csv_text(["tau", "f1"], rows)
-    payload = {
-        "config": _config_dict(config),
+    return _emit(config, ("tau", "f1"), result.grid, {
         "dataset": dataset.source,
         "grid": [list(point) for point in result.grid],
         "tau_best": result.tau_best,
         "score_best": result.score_best,
-    }
-    return _json_text(payload)
+    })
 
 
-_DISPATCH = {
-    "levels": _cmd_levels,
-    "magics": _cmd_magics,
-    "table": _cmd_table,
-    "compare": _cmd_compare,
-    "fit": _cmd_fit,
-    "export": _cmd_export,
+_FORMATS = ("text", "csv", "json")
+# command: (handler, help, option groups, --format choices with the default first)
+_COMMANDS = {
+    "levels": (_cmd_levels, "print the truncated level scheme", ("tau", "scale", "shell"), _FORMATS),
+    "magics": (_cmd_magics, "print primary magic numbers", ("tau", "scale", "shell"), _FORMATS),
+    "table": (_cmd_table, "render the level scheme with gaps marked",
+              ("tau", "scale", "shell"), ()),
+    "compare": (_cmd_compare, "score predictions against a dataset",
+                ("tau", "scale", "shell", "dataset"), _FORMATS),
+    "fit": (_cmd_fit, "grid-search the deformation against a dataset",
+            ("scale", "shell", "dataset", "grid"), _FORMATS),
+    "export": (_cmd_export, "machine-readable scheme with gap annotations",
+               ("tau", "scale", "shell"), ("csv", "json")),
 }
 
 
@@ -414,7 +336,7 @@ def run(config: RunConfig, out=None) -> int:
     """Execute one command; data to out (stdout), diagnostics to stderr."""
     sink = sys.stdout if out is None else out
     try:
-        text = _DISPATCH[config.command](config)
+        text = _COMMANDS[config.command][0](config)
     except (InsufficientNMaxError, DatasetParseError, DatasetValidationError,
             ValueError, OSError) as exc:
         print(f"qshell: error: {exc}", file=sys.stderr)

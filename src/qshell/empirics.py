@@ -2,9 +2,9 @@
 
 Datasets are plain text, one entry per line in the form `value`,
 `value±uncertainty`, or either wrapped in parentheses to flag a weak
-entry; `#` starts a comment.  Matching is greedy one-to-one in ascending
-order under the window |predicted - observed| <= uncertainty + slack, and
-the deformation parameter is fitted by exhaustive grid search on the
+entry; `#` starts a comment.  Matching is a maximum one-to-one matching
+under the window |predicted - observed| <= uncertainty + slack, and the
+deformation parameter is fitted by exhaustive grid search on the
 resulting f1 score.
 """
 
@@ -186,11 +186,14 @@ def match_magics(
     slack: int = 0,
     include_paren: bool = False,
 ) -> MatchReport:
-    """Greedy ascending one-to-one matching of predictions to observations.
+    """Maximum one-to-one matching of predictions to observations.
 
-    Each prediction takes the smallest still-unmatched observed value o
-    with |p - o| <= uncertainty(o) + slack.  For sparse monotone magic
-    sequences this equals the optimal assignment.
+    Prediction p may match observed value o when |p - o| <= uncertainty(o)
+    + slack, that is when p lies in o's window.  In ascending order, each
+    prediction takes the still-unmatched window that holds it and ends
+    first, the smaller o on a tie.  For points matched to intervals this
+    greedy gives a matching of maximum size (Glover, "Maximum matching in
+    a convex bipartite graph", 1967).
     """
     if slack < 0:
         raise ValueError(f"slack must be >= 0, got {slack!r}")
@@ -212,14 +215,18 @@ def match_magics(
     for p in predicted:
         while start < count and (taken[start] or observed[start] + reach < p):
             start += 1
+        # A window ends at or above its value, so once the values reach the
+        # end of the best window so far, no later window ends before it.
+        best, best_end = None, math.inf
         for j in range(start, count):
             o = observed[j]
-            if o - p > reach:
+            if o - p > reach or o >= best_end:
                 break
-            if not taken[j] and abs(p - o) <= window[j]:
-                taken[j] = True
-                pairs.append((p, o))
-                break
+            if not taken[j] and abs(p - o) <= window[j] and o + window[j] < best_end:
+                best, best_end = j, o + window[j]
+        if best is not None:
+            taken[best] = True
+            pairs.append((p, observed[best]))
     tp = len(pairs)
     fp = len(predicted) - tp
     fn = len(observed) - tp
@@ -260,7 +267,7 @@ def fit_tau(
 ) -> FitResult:
     """Exhaustive grid search for the tau whose primary magics best match ds.
 
-    The objective (f1 of the greedy matching) is a step function of tau,
+    The objective (f1 of the matching) is a step function of tau,
     so derivative-free search over an explicit grid is the right tool.
     Ties keep the smallest tau.
     """

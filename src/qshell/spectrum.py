@@ -4,15 +4,14 @@ Energies in units of hbar*omega0:
 
     E(n, l) = [n] q^(n+1) - q tanh(tau) [l][l+1],        q = e^tau
 
-where [x] is the real-kind q-bracket and [l][l+1] is the angular-momentum
+where [x] is the q-bracket and [l][l+1] is the angular-momentum
 Casimir eigenvalue.  The coefficient of the Casimir term is written
 q (q - q^-1) / [2] in operator form; since q - q^-1 = 2 sinh(tau) and
 [2] = 2 cosh(tau), it collapses to q tanh(tau).
 
 A shell n splits into levels l = n, n-2, ..., 1 or 0, each holding
-2(2l+1) particles.  The small-tau expansion (energy_taylor) and the
-modified-oscillator comparator (nilsson_energy) are provided alongside
-the exact formula.
+2(2l+1) particles.  The small-tau expansion (energy_taylor) is provided
+alongside the exact formula.
 
 energy() evaluates one level.  enumerate_levels() evaluates a whole
 scheme as a per-tau table: the brackets [k] = sinh(tau k)/sinh(tau) for
@@ -31,7 +30,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 
-from .qmath import DeformationKind, DeformationParameter, q_bracket
+from .qmath import DeformationParameter, q_bracket
 
 __all__ = [
     "Level",
@@ -41,8 +40,6 @@ __all__ = [
     "casimir_eigenvalue",
     "energy",
     "energy_taylor",
-    "nilsson_energy",
-    "mean_L2",
     "enumerate_levels",
 ]
 
@@ -116,19 +113,13 @@ def casimir_eigenvalue(l: int, d: DeformationParameter) -> float:
     return q_bracket(l, d) * q_bracket(l + 1, d)
 
 
-def _require_real(d: DeformationParameter, what: str) -> None:
-    if d.kind is not DeformationKind.REAL:
-        raise ValueError(f"{what} is defined for the REAL deformation kind only")
-
-
 def energy(n: int, l: int, p: ModelParameters) -> float:
-    """Exact eigenvalue E(n, l) for real deformation, in hbar*omega0 units.
+    """Exact eigenvalue E(n, l), in hbar*omega0 units.
 
     At tau = 0 this returns hbar_omega0 * n exactly, with no division.
     """
     _check_branching(n, l)
     d = p.deformation
-    _require_real(d, "energy")
     tau = d.tau
     if tau == 0.0:
         return p.hbar_omega0 * n
@@ -152,7 +143,6 @@ def energy_taylor(n: int, l: int, p: ModelParameters, order: int) -> float:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     _check_branching(n, l)
-    _require_real(p.deformation, "energy_taylor")
     tau = p.deformation.tau
     value = n - tau * (l * (l + 1) - n * (n + 1))
     if order == 2:
@@ -160,26 +150,6 @@ def energy_taylor(n: int, l: int, p: ModelParameters, order: int) -> float:
         # division by 3 is exact in integers.
         value -= tau * tau * (l * (l + 1) - n * (n + 1) * (2 * n + 1) // 3)
     return p.hbar_omega0 * value
-
-
-def mean_L2(N: int) -> int:
-    """Shell average of L^2 in shell N: N(N+3)/2, always an integer."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N!r}")
-    return N * (N + 3) // 2
-
-
-def nilsson_energy(n: int, l: int, kappa_prime: float, hbar_omega: float = 1.0) -> float:
-    """Modified-oscillator comparator level energy.
-
-    E = hbar_omega (n + 3/2) - hbar_omega kappa' (l(l+1) - <L^2>_n),
-    the diagonal eigenvalue of the oscillator plus the flattening term,
-    with the shell index of <L^2> identified with n.
-    """
-    _check_branching(n, l)
-    if not (math.isfinite(hbar_omega) and hbar_omega > 0):
-        raise ValueError(f"hbar_omega must be positive, got {hbar_omega!r}")
-    return hbar_omega * (n + 1.5) - hbar_omega * kappa_prime * (l * (l + 1) - mean_L2(n))
 
 
 @lru_cache(maxsize=32)
@@ -217,9 +187,7 @@ def _levels_up_to(p: ModelParameters, n_hi: int) -> list[Level]:
     Each energy equals energy(n, l, p) bit for bit.  Raises ValueError
     when an energy would not fit in a float.
     """
-    d = p.deformation
-    _require_real(d, "energy")
-    tau = d.tau
+    tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0
     ns, ls, degeneracies, _ = _shape(n_hi)
     if tau == 0.0:

@@ -1,8 +1,9 @@
 import math
 import random
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qshell.empirics import (
     BUNDLED_DATASETS,
@@ -236,23 +237,44 @@ def test_report_is_order_insensitive():
 
 
 def reference_match_pairs(predicted, ds, slack, include_paren):
-    """The plain O(P*O) greedy loop that match_magics must agree with."""
+    """The plain O(P*O) greedy loop that match_magics must agree with.
+
+    Each prediction in turn takes the unmatched window that holds it and
+    ends first, the smaller observed value on a tie.
+    """
     observed = [e for e in ds.entries if include_paren or not e.parenthesized]
     taken = [False] * len(observed)
     pairs = []
     for p in predicted:
-        for j, e in enumerate(observed):
-            if not taken[j] and abs(p - e.value) <= e.uncertainty + slack:
-                taken[j] = True
-                pairs.append((p, e.value))
-                break
+        fits = [j for j, e in enumerate(observed)
+                if not taken[j] and abs(p - e.value) <= e.uncertainty + slack]
+        if fits:
+            j = min(fits, key=lambda j: (observed[j].value + observed[j].uncertainty, j))
+            taken[j] = True
+            pairs.append((p, observed[j].value))
     return tuple(pairs), len(observed)
 
 
+def maximum_matching_size(predicted, windows):
+    """Exhaustive search: the most pairs of any one-to-one matching."""
+
+    @lru_cache(maxsize=None)
+    def best(i, taken):
+        if i == len(predicted):
+            return 0
+        most = best(i + 1, taken)  # predicted[i] left unmatched
+        for j, (lo, hi) in enumerate(windows):
+            if not taken >> j & 1 and lo <= predicted[i] <= hi:
+                most = max(most, 1 + best(i + 1, taken | 1 << j))
+        return most
+
+    return best(0, 0)
+
+
 @st.composite
-def observed_entries(draw):
-    values = draw(st.lists(st.integers(min_value=2, max_value=400), min_size=1,
-                           max_size=25, unique=True))
+def observed_entries(draw, max_value=400, max_size=25):
+    values = draw(st.lists(st.integers(min_value=2, max_value=max_value), min_size=1,
+                           max_size=max_size, unique=True))
     return tuple(
         ObservedMagic(v, draw(st.integers(min_value=0, max_value=min(v, 40))), draw(st.booleans()))
         for v in sorted(values)
@@ -274,6 +296,34 @@ def test_match_magics_equals_the_plain_greedy_loop(entries, predicted, slack, in
     assert report.true_positives == len(pairs)
     assert report.false_positives == len(predicted) - len(pairs)
     assert report.false_negatives == observed - len(pairs)
+
+
+# At 100 examples hypothesis found the smallest-value rule's shortfall in
+# about half of fresh runs; at 500 it found it in six of six.
+@settings(max_examples=500, deadline=None)
+@given(
+    entries=observed_entries(max_value=80, max_size=8),
+    predicted=st.lists(st.integers(min_value=1, max_value=100), max_size=8, unique=True),
+    slack=st.integers(min_value=0, max_value=5),
+)
+def test_match_magics_is_a_maximum_matching(entries, predicted, slack):
+    ds = ExperimentalDataset("random", entries)
+    predicted = sorted(predicted)
+    report = match_magics(predicted, ds, slack=slack, include_paren=True)
+    window = {e.value: (e.value - e.uncertainty - slack, e.value + e.uncertainty + slack)
+              for e in entries}
+    assert all(window[o][0] <= p <= window[o][1] for p, o in report.matched_pairs)
+    assert len({o for _, o in report.matched_pairs}) == report.true_positives
+    assert report.true_positives == maximum_matching_size(tuple(predicted),
+                                                          tuple(window.values()))
+
+
+def test_match_is_maximum_when_windows_differ():
+    # 40 lies in both windows and 58 only in 47's: giving 47 to 40, the
+    # smaller value, would leave 58 and 48 unmatched.
+    report = match_magics(PRIMARY_MAGICS, load_dataset("47±11\n48±8\n"))
+    assert report.matched_pairs == ((40, 48), (58, 47))
+    assert (report.true_positives, report.false_positives, report.false_negatives) == (2, 23, 0)
 
 
 # ----------------------------------------------------------------- fitting

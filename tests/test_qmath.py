@@ -4,24 +4,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qshell.qmath import (
-    DeformationKind,
-    DeformationParameter,
-    SingularDeformationError,
-    q_bracket,
-)
+from qshell.qmath import DeformationParameter, q_bracket
 
 REAL_038 = DeformationParameter(0.038)
-PHASE_03 = DeformationParameter(0.3, DeformationKind.PHASE)
 
 
 @pytest.mark.parametrize(
     "d",
     [
         REAL_038,
-        PHASE_03,
         DeformationParameter(0.0),
-        DeformationParameter(0.0, DeformationKind.PHASE),
         DeformationParameter(-0.12),
     ],
 )
@@ -42,10 +34,6 @@ def test_bracket_three_is_one_plus_two_cosh_2tau():
     assert q_bracket(3, REAL_038) == pytest.approx(3.005778780716666, rel=1e-12)
 
 
-def test_phase_bracket_two_is_two_cos_tau():
-    assert q_bracket(2, PHASE_03) == pytest.approx(2 * math.cos(0.3), rel=1e-14)
-
-
 def test_tau_zero_returns_x_exactly():
     d = DeformationParameter(0.0)
     for x in (0.0, 1.0, 7.0, -3.5, 19.25):
@@ -58,15 +46,6 @@ def test_tau_zero_returns_x_exactly():
 )
 def test_antisymmetry_real(x, tau):
     d = DeformationParameter(tau)
-    assert q_bracket(-x, d) == pytest.approx(-q_bracket(x, d), rel=1e-12, abs=1e-300)
-
-
-@given(x=st.floats(min_value=-9, max_value=9), tau=st.floats(min_value=0.05, max_value=3.0))
-def test_antisymmetry_phase(x, tau):
-    try:
-        d = DeformationParameter(tau, DeformationKind.PHASE)
-    except SingularDeformationError:
-        return
     assert q_bracket(-x, d) == pytest.approx(-q_bracket(x, d), rel=1e-12, abs=1e-300)
 
 
@@ -108,23 +87,6 @@ def test_nonfinite_tau_rejected(bad_tau):
 def test_nonfinite_x_rejected(bad_x):
     with pytest.raises(ValueError):
         q_bracket(bad_x, REAL_038)
-
-
-@pytest.mark.parametrize("k", [1, -1, 2, -3])
-def test_phase_at_multiples_of_pi_is_singular(k):
-    with pytest.raises(SingularDeformationError):
-        DeformationParameter(k * math.pi, DeformationKind.PHASE)
-
-
-def test_phase_tau_zero_is_the_analytic_limit_not_singular():
-    d = DeformationParameter(0.0, DeformationKind.PHASE)
-    assert q_bracket(5, d) == 5.0
-
-
-def test_q_property():
-    assert REAL_038.q == pytest.approx(math.exp(0.038), rel=1e-15)
-    with pytest.raises(ValueError):
-        _ = PHASE_03.q
 
 
 def test_parameter_is_frozen():

@@ -15,7 +15,7 @@ from qshell.empirics import (
     MatchReport,
     ObservedMagic,
 )
-from qshell.qmath import DeformationKind, DeformationParameter
+from qshell.qmath import DeformationParameter
 from qshell.shells import LevelScheme, MagicGrade, MagicRecord
 from qshell.spectrum import InvalidLevelError, Level, ModelParameters
 
@@ -30,7 +30,7 @@ DATASET = ExperimentalDataset("x", (ObservedMagic(2),))
 # (a valid record, a field change that must be rejected, the exception)
 INVALID_CHANGES = [
     (D, {"tau": float("nan")}, ValueError),
-    (D, {"kind": "real"}, TypeError),
+    (D, {"tau": 0.038j}, TypeError),
     (GROUND, {"l": 1}, InvalidLevelError),
     (GROUND, {"degeneracy": 6}, ValueError),
     (P, {"n_max": 0}, ValueError),
@@ -46,7 +46,7 @@ INVALID_CHANGES = [
 ]
 
 FIELDS = {
-    DeformationParameter: ("tau", "kind"),
+    DeformationParameter: ("tau",),
     Level: ("n", "l", "energy", "degeneracy"),
     ModelParameters: ("deformation", "hbar_omega0", "n_max"),
     MagicRecord: ("after_level", "gap", "count", "grade"),
@@ -99,8 +99,8 @@ def test_repr_defaults_and_normalisation():
     assert RunConfig("magics") == RunConfig(
         "magics", 0.038, 1.0, 24, 0.39, 0.30, 1520, None, 0, "text", None)
     tau = DeformationParameter(1)
-    assert type(tau.tau) is float and tau.kind is DeformationKind.REAL
-    assert DeformationParameter(kind=DeformationKind.REAL, tau=0.5).tau == 0.5
+    assert type(tau.tau) is float
+    assert DeformationParameter(tau=0.5).tau == 0.5
 
 
 def test_level_messages_name_the_broken_rule():

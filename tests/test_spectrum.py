@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from qshell.qmath import DeformationKind, DeformationParameter
+from qshell.qmath import DeformationParameter
 from qshell.spectrum import (
     InvalidLevelError,
     Level,
@@ -14,8 +14,6 @@ from qshell.spectrum import (
     energy,
     energy_taylor,
     enumerate_levels,
-    mean_L2,
-    nilsson_energy,
     _levels_up_to,
     _shape,
 )
@@ -93,14 +91,6 @@ def test_energy_one_one_is_unity():
     # algebraic identity: [1] q^2 - q (q - 1/q) = 1 for every tau
     for tau in (0.01, 0.038, 0.2, 1.0):
         assert energy(1, 1, params(tau)) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_energy_rejects_phase_kind():
-    p = ModelParameters(DeformationParameter(0.3, DeformationKind.PHASE))
-    with pytest.raises(ValueError, match="REAL"):
-        energy(2, 0, p)
-    with pytest.raises(ValueError, match="REAL"):
-        energy_taylor(2, 0, p, order=2)
 
 
 @pytest.mark.parametrize("n,l", [(2, 1), (1, 0), (3, 4), (5, -1), (-1, 1)])
@@ -227,41 +217,6 @@ def test_taylor_remainder_is_quartic_on_stretched_levels(n):
     # on l = n the cubic coefficient vanishes identically and the residual
     # scales by about 16 when tau doubles
     assert 13 <= _ratio(n, n, 0.04) <= 19
-
-
-# ----------------------------------------------------------------- nilsson
-
-
-def test_nilsson_reduces_to_oscillator_at_zero_coupling():
-    assert nilsson_energy(2, 0, kappa_prime=0.0) == 3.5
-
-
-def test_nilsson_known_values():
-    assert nilsson_energy(2, 2, 0.05) == pytest.approx(3.45, rel=1e-12)
-    assert nilsson_energy(4, 4, 0.05) == pytest.approx(5.2, rel=1e-12)
-
-
-def test_nilsson_validates_inputs():
-    with pytest.raises(InvalidLevelError):
-        nilsson_energy(2, 1, 0.05)
-    with pytest.raises(ValueError):
-        nilsson_energy(2, 0, 0.05, hbar_omega=-1.0)
-
-
-@pytest.mark.parametrize("N,expected", [(0, 0), (2, 5), (3, 9)])
-def test_mean_l2(N, expected):
-    value = mean_L2(N)
-    assert value == expected and isinstance(value, int)
-
-
-@given(N=st.integers(min_value=0, max_value=10**6))
-def test_mean_l2_closed_form(N):
-    assert 2 * mean_L2(N) == N * (N + 3)
-
-
-def test_mean_l2_negative_rejected():
-    with pytest.raises(ValueError):
-        mean_L2(-2)
 
 
 # ------------------------------------------------------------- enumeration
