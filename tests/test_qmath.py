@@ -16,6 +16,8 @@ REAL_038 = DeformationParameter(0.038)
         DeformationParameter(0.0),
         DeformationParameter(-0.12),
     ],
+    # d1 and d3 were the cases of the deleted phase deformation
+    ids=["d0", "d2", "d4"],
 )
 def test_bracket_fixed_points(d):
     assert q_bracket(0, d) == 0.0
