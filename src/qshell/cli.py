@@ -14,6 +14,7 @@ import os
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from itertools import count, takewhile
 
 from .empirics import (
     DatasetParseError,
@@ -47,8 +48,8 @@ MAX_GRID_POINTS = 100_000
 MAX_N_MAX = 200
 MAX_COUNT_LIMIT = 1_000_000
 # Largest total work of a fit: tau grid points times the levels of shells
-# 0..n_max (169 at the default n_max of 24).  A fit point costs about one
-# microsecond per level, so this bounds a fit to tens of seconds; the
+# 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
+# microseconds per level, so this bounds a fit to a few seconds; the
 # 4001-point fine grid at the defaults is 676169.
 MAX_FIT_LEVELS = 10_000_000
 
@@ -129,6 +130,8 @@ def _parse_grid_spec(parser: argparse.ArgumentParser, spec: str) -> tuple[float,
     if (hi - lo) / step + 1 > MAX_GRID_POINTS:
         parser.error(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
     taus = _expand_grid((lo, hi, step))
+    if taus[0] <= 0:
+        parser.error(f"--grid {spec!r} starts at a point that rounds to tau = 0 (10 decimals)")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         parser.error(f"--grid {spec!r} has points that round to the same tau (10 decimals)")
     return lo, hi, step
@@ -141,10 +144,9 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     if hasattr(ns, "tau") and not (math.isfinite(ns.tau) and ns.tau >= 0):
         parser.error(f"--tau must be finite and >= 0, got {ns.tau!r}")
-    if hasattr(ns, "hbar_omega0") and not (
-        math.isfinite(ns.hbar_omega0) and ns.hbar_omega0 > 0
-    ):
-        parser.error(f"--hbar-omega0 must be positive, got {ns.hbar_omega0!r}")
+    # A subnormal scale rounds distinct energies to ties and reorders levels.
+    if hasattr(ns, "hbar_omega0") and not sys.float_info.min <= ns.hbar_omega0 <= sys.float_info.max:
+        parser.error(f"--hbar-omega0 must be a normal positive float, got {ns.hbar_omega0!r}")
     if hasattr(ns, "n_max") and not 1 <= ns.n_max <= MAX_N_MAX:
         parser.error(f"--n-max must be in [1, {MAX_N_MAX}], got {ns.n_max}")
     if hasattr(ns, "count_limit") and not 2 <= ns.count_limit <= MAX_COUNT_LIMIT:
@@ -178,14 +180,8 @@ def _level_count(n_max: int) -> int:
 @lru_cache(maxsize=1)  # parse_args checks the grid that fit then scans
 def _expand_grid(grid: tuple[float, float, float]) -> tuple[float, ...]:
     lo, hi, step = grid
-    taus = []
-    i = 0
-    while True:
-        tau = round(lo + i * step, 10)
-        if tau > hi + 1e-9:
-            return tuple(taus)
-        taus.append(tau)
-        i += 1
+    taus = (round(lo + i * step, 10) for i in count())
+    return tuple(takewhile(lambda tau: tau <= hi + 1e-9, taus))
 
 
 def _config_dict(config: RunConfig) -> dict:
@@ -216,9 +212,7 @@ def _scheme(config: RunConfig, graded: bool = True):
     """The configured scheme and, if graded, its shell closures."""
     params = ModelParameters(DeformationParameter(config.tau), config.hbar_omega0, config.n_max)
     scheme = build_scheme(params, config.count_limit)
-    if not graded:
-        return scheme, []
-    return scheme, detect_shells(scheme, config.primary_gap, config.secondary_gap)
+    return scheme, detect_shells(scheme, config.primary_gap, config.secondary_gap) if graded else []
 
 
 _LEVEL_FIELDS = ("n", "l", "energy", "degeneracy", "cumulative", "gap_to_next", "magic_grade")

@@ -5,16 +5,19 @@ Datasets are plain text, one entry per line in the form `value`,
 entry; `#` starts a comment.  Matching is a maximum one-to-one matching
 under the window |predicted - observed| <= uncertainty + slack, and the
 deformation parameter is fitted by exhaustive grid search on the
-resulting f1 score.
+resulting f1 score.  The fit checks its arguments on the first grid point
+through predicted_primary_magics, reads every later point off the
+record-free kernel of shells, and matches each distinct magic list once.
 """
 
 import math
 import re
 from collections import namedtuple
+from operator import itemgetter
 from pathlib import Path
 
 from .qmath import DeformationParameter
-from .shells import build_scheme
+from .shells import _primaries, build_scheme
 from .spectrum import ModelParameters
 
 __all__ = [
@@ -279,13 +282,18 @@ def fit_tau(
             raise ValueError("tau_grid must be strictly ascending")
     if grid[0] <= 0:
         raise ValueError("tau_grid values must be positive")
+    scores = {}  # f1 of each distinct primary list; ds, slack and include_paren are fixed
     trace = []
-    tau_best = grid[0]
-    score_best = -1.0
     for tau in grid:
-        predicted = predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max)
-        score = match_magics(predicted, ds, slack=slack, include_paren=False).f1
-        trace.append((tau, score))
-        if score > score_best:
-            tau_best, score_best = tau, score
+        # The first point takes the reference path, which checks every argument
+        # but tau, and so does any point the kernel cannot finish: it raises.
+        params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
+        predicted = _primaries(params, count_limit, primary_gap) if trace else None
+        if predicted is None:
+            predicted = predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max)
+        key = tuple(predicted)
+        if key not in scores:
+            scores[key] = match_magics(predicted, ds, slack=slack, include_paren=False).f1
+        trace.append((tau, scores[key]))
+    tau_best, score_best = max(trace, key=itemgetter(1))  # the first, so the smallest tau
     return FitResult(tau_best, score_best, tuple(trace))

@@ -10,14 +10,22 @@ The sort has one key, the energy.  It reads the table in (n, ascending l)
 order, and Python's sort is stable, so levels of equal energy keep that
 order: the result equals a sort on (energy, n, l), ties at tau = 0
 included, without building a key tuple per level.
+
+build_scheme is the reference path: it builds Level records and a
+validated LevelScheme.  A fit evaluates thousands of taus through
+_primaries instead, which applies the same sort, cut and completeness
+rule to the energy column and returns the primary magic numbers alone.
 """
 
 import math
 from collections import namedtuple
 from enum import Enum
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate, takewhile
+from operator import ge, itemgetter
 
-from .spectrum import Level, ModelParameters, _levels_up_to, _shape, energy, enumerate_levels
+from .spectrum import (Level, ModelParameters, _energies_up_to, _levels_up_to, _shape, energy,
+                       enumerate_levels)
 
 __all__ = [
     "MagicGrade",
@@ -99,25 +107,24 @@ def _sorted(table: list[Level], n_hi: int) -> list[Level]:
     return sorted(map(table.__getitem__, _shape(n_hi)[3]), key=_energy)
 
 
+def _totals(degeneracies, count_limit: int) -> list[int]:
+    # The running totals while they stay within count_limit.
+    return list(takewhile(partial(ge, count_limit), accumulate(degeneracies)))
+
+
 def _truncated(ordered: list[Level], count_limit: int) -> tuple[list[Level], list[int]]:
-    totals = []
-    running = 0
-    for lev in ordered:
-        running += lev[3]  # degeneracy
-        if running > count_limit:
-            break
-        totals.append(running)
+    totals = _totals((lev[3] for lev in ordered), count_limit)  # lev[3]: degeneracy
     return ordered[:len(totals)], totals
 
 
-def _is_complete(next_shell_floor: float, enumerated: int, kept: list[Level],
-                 totals: list[int], count_limit: int) -> bool:
+def _is_complete(next_shell_floor: float, top_energy: float, totals: list[int],
+                 enumerated: int, count_limit: int) -> bool:
     # For tau >= 0 the lowest level of shell m is (m, m), and it rises with
-    # m.  So no omitted level reaches into the kept range once shell
-    # n_max+1 starts above it, provided count_limit, not n_max, ended the
-    # scheme: some level was left out, or the total met the limit exactly.
-    cut = len(kept) < enumerated or totals[-1] == count_limit
-    return cut and next_shell_floor > kept[-1].energy
+    # m.  So no omitted level reaches below top_energy once shell n_max+1
+    # starts above it, provided count_limit, not n_max, ended the scheme:
+    # some level was left out, or the total met the limit exactly.
+    cut = len(totals) < enumerated or totals[-1] == count_limit
+    return cut and next_shell_floor > top_energy
 
 
 def _required_n_max(p: ModelParameters, count_limit: int) -> int:
@@ -137,7 +144,7 @@ def _required_n_max(p: ModelParameters, count_limit: int) -> int:
             n += 1
             levels = [lev for lev in ordered if lev.n <= n]
             kept, totals = _truncated(levels, count_limit)
-            if _is_complete(floors[n + 1], len(levels), kept, totals, count_limit):
+            if _is_complete(floors[n + 1], kept[-1].energy, totals, len(levels), count_limit):
                 return n
 
 
@@ -159,7 +166,7 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     except OverflowError:
         # Beyond float range, so above every level of the table.
         next_shell_floor = math.inf
-    if not _is_complete(next_shell_floor, len(levels), kept, totals, count_limit):
+    if not _is_complete(next_shell_floor, kept[-1].energy, totals, len(levels), count_limit):
         if next_shell_floor > kept[-1].energy:
             reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
         else:
@@ -170,6 +177,26 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
             f"{reason}; use n_max >= {_required_n_max(p, count_limit)}"
         )
     return LevelScheme(tuple(kept), tuple(totals), p)
+
+
+def _primaries(p: ModelParameters, count_limit: int, primary_gap: float) -> list[int] | None:
+    """predicted_primary_magics' list for p, from the energy column alone.
+
+    The sort, cut and completeness rule are build_scheme's.  Returns None
+    where build_scheme would raise; checks no argument.
+    """
+    _, _, degeneracies, by_n_l = _shape(p.n_max)
+    try:
+        energies, next_shell_floor = _energies_up_to(p, p.n_max)
+    except ValueError:
+        return None
+    order = sorted(by_n_l, key=energies.__getitem__)  # the stable one-key sort
+    totals = _totals(map(degeneracies.__getitem__, order), count_limit)
+    ordered = [energies[i] for i in order[:len(totals)]]
+    if totals and _is_complete(next_shell_floor, ordered[-1], totals, len(order), count_limit):
+        return [count for low, high, count in zip(ordered, ordered[1:], totals)
+                if high - low > primary_gap]
+    return None
 
 
 def detect_shells(

@@ -13,19 +13,21 @@ A shell n splits into levels l = n, n-2, ..., 1 or 0, each holding
 2(2l+1) particles.  The small-tau expansion (energy_taylor) is provided
 alongside the exact formula.
 
-energy() evaluates one level.  enumerate_levels() evaluates a whole
-scheme as a per-tau table: the brackets [k] = sinh(tau k)/sinh(tau) for
-k <= n_max + 1, q and q tanh(tau) once per tau, [n] q^(n+1) once per
-shell and q tanh(tau) [l][l+1] once per l, so each level costs one
-difference and one product.  The levels follow the tau-independent
-(n, l, 2(2l+1)) shape of the table, which is cached and checked against
-Level's rules once per n_max, so the per-tau table makes its Level
-records without checking them again.  The table uses the same float
-operations in the same order as energy(), so both give bit-identical
-energies (the CSV and JSON output print repr(energy)).
+energy() evaluates one level.  _energies_up_to() evaluates the energy
+column of a whole scheme as a per-tau table: the brackets [k] =
+sinh(tau k)/sinh(tau), q and q tanh(tau) once per tau, [n] q^(n+1) once
+per shell and q tanh(tau) [l][l+1] once per l, so each level costs one
+difference and one product.  It uses the same float operations in the
+same order as energy(), so both give bit-identical energies (the CSV and
+JSON output print repr(energy)), and it also returns the next shell's
+lowest energy, which decides whether a truncated scheme is complete.
+The levels follow the tau-independent (n, l, 2(2l+1)) shape of the
+table, cached and checked against Level's rules once per n_max, so
+enumerate_levels() makes its Level records without checking them again.
 """
 
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
@@ -84,8 +86,10 @@ class ModelParameters(namedtuple("ModelParameters", "deformation hbar_omega0 n_m
 
     def __new__(cls, deformation: DeformationParameter, hbar_omega0: float = 1.0,
                 n_max: int = 24):
-        if not (math.isfinite(hbar_omega0) and hbar_omega0 > 0):
-            raise ValueError(f"hbar_omega0 must be positive, got {hbar_omega0!r}")
+        # A subnormal scale rounds distinct energies to ties, and the sort
+        # would fall back to (n, l) order.
+        if not sys.float_info.min <= hbar_omega0 <= sys.float_info.max:
+            raise ValueError(f"hbar_omega0 must be a normal positive float, got {hbar_omega0!r}")
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max!r}")
         # The lowest level of shell n is (n, n) only for tau >= 0, and the
@@ -162,15 +166,10 @@ def _shape(n_hi: int) -> tuple[tuple[int, ...], ...]:
     passes Level's check here, once per n_hi, so the per-tau table can
     build its levels without repeating it.
     """
-    ns, ls, degeneracies = [], [], []
-    for n in range(n_hi + 1):
-        for l in allowed_l(n):
-            level = Level(n, l, 0.0, 2 * (2 * l + 1))
-            ns.append(n)
-            ls.append(l)
-            degeneracies.append(level.degeneracy)
+    levels = [Level(n, l, 0.0, 2 * (2 * l + 1)) for n in range(n_hi + 1) for l in allowed_l(n)]
+    ns, ls, _, degeneracies = zip(*levels)
     by_n_l = sorted(range(len(ns)), key=lambda i: (ns[i], ls[i]))
-    return tuple(ns), tuple(ls), tuple(degeneracies), tuple(by_n_l)
+    return ns, ls, degeneracies, tuple(by_n_l)
 
 
 def _overflow(p: ModelParameters, n_hi: int) -> ValueError:
@@ -180,37 +179,48 @@ def _overflow(p: ModelParameters, n_hi: int) -> ValueError:
     )
 
 
-def _levels_up_to(p: ModelParameters, n_hi: int) -> list[Level]:
-    """All levels with 0 <= n <= n_hi, in (n, descending l) enumeration order.
+def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
+    """energy(n, l, p) of each level of _shape(n_hi), and energy(n_hi+1, n_hi+1, p).
 
-    n_hi may exceed p.n_max, which lets a caller look past the bound.
-    Each energy equals energy(n, l, p) bit for bit.  Raises ValueError
-    when an energy would not fit in a float.
+    Both bit for bit; the second, the next-shell floor, is inf where energy()
+    raises OverflowError.  Raises ValueError when a level overflows a float.
     """
     tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0
-    ns, ls, degeneracies, _ = _shape(n_hi)
+    ns, ls, _, _ = _shape(n_hi)
     if tau == 0.0:
         if not math.isfinite(hbar_omega0 * n_hi):
             raise _overflow(p, n_hi)
-        energies = [hbar_omega0 * n for n in ns]
-    else:
-        # The same operations as q_bracket, q_bracket * q ** (n + 1) and
-        # q * tanh(tau) * casimir_eigenvalue in energy().
-        try:
-            sinh_tau = math.sinh(tau)
-            bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
-            q = math.exp(tau)
-            casimir_coeff = q * math.tanh(tau)
-            shell = [bracket[n] * q ** (n + 1) for n in range(n_hi + 1)]
-        except OverflowError:
-            raise _overflow(p, n_hi) from None
-        casimir = [casimir_coeff * (bracket[l] * bracket[l + 1]) for l in range(n_hi + 1)]
-        # shell and casimir are non-negative and increase with the index, so
-        # no energy exceeds this one in magnitude.
-        if not math.isfinite(hbar_omega0 * (shell[n_hi] + casimir[n_hi])):
-            raise _overflow(p, n_hi)
-        energies = [hbar_omega0 * (shell[n] - casimir[l]) for n, l in zip(ns, ls)]
+        return [hbar_omega0 * n for n in ns], hbar_omega0 * (n_hi + 1)
+    # The same operations as q_bracket, q_bracket * q ** (n + 1) and
+    # q * tanh(tau) * casimir_eigenvalue in energy().
+    try:
+        sinh_tau = math.sinh(tau)
+        bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
+        q = math.exp(tau)
+        casimir_coeff = q * math.tanh(tau)
+        shell = [bracket[n] * q ** (n + 1) for n in range(n_hi + 1)]
+    except OverflowError:
+        raise _overflow(p, n_hi) from None
+    casimir = [casimir_coeff * (bracket[l] * bracket[l + 1]) for l in range(n_hi + 1)]
+    # shell and casimir are non-negative and increase with the index, so
+    # no energy exceeds this one in magnitude.
+    if not math.isfinite(hbar_omega0 * (shell[n_hi] + casimir[n_hi])):
+        raise _overflow(p, n_hi)
+    m = n_hi + 1
+    try:
+        bracket_above = math.sinh(tau * (m + 1)) / sinh_tau
+        floor = hbar_omega0 * (bracket[m] * q ** (m + 1)
+                               - casimir_coeff * (bracket[m] * bracket_above))
+    except OverflowError:
+        floor = math.inf
+    return [hbar_omega0 * (shell[n] - casimir[l]) for n, l in zip(ns, ls)], floor
+
+
+def _levels_up_to(p: ModelParameters, n_hi: int) -> list[Level]:
+    """_energies_up_to(p, n_hi)'s levels as Level records; n_hi may exceed p.n_max."""
+    ns, ls, degeneracies, _ = _shape(n_hi)
+    energies, _ = _energies_up_to(p, n_hi)
     # _shape checked every (n, l, degeneracy), and Level checks nothing else.
     return list(map(_tuple_new, repeat(Level), zip(ns, ls, energies, degeneracies)))
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -103,6 +104,27 @@ def test_collapsing_grid_is_a_grid_error(capsys):
     with pytest.raises(SystemExit):
         parse_args(["fit", "--dataset", "martin", "--grid", "0.02:0.020000001:1e-11"])
     assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-323", "2.225073858507201e-308"])
+def test_subnormal_hbar_omega0_is_a_usage_error(value, capsys):
+    # `levels --hbar-omega0 1e-323` used to exit 0 with (2, 0) before (2, 2).
+    with pytest.raises(SystemExit) as err:
+        parse_args(["levels", "--hbar-omega0", value])
+    assert err.value.code == 2
+    assert "--hbar-omega0" in capsys.readouterr().err
+    assert parse_args(["levels", "--hbar-omega0", repr(sys.float_info.min)]).hbar_omega0 > 0
+
+
+def test_grid_rounding_to_tau_zero_is_a_usage_error(capsys):
+    # lo is positive, but _expand_grid rounds 1e-11 to 0.0; that used to exit 1
+    # from fit_tau.
+    with pytest.raises(SystemExit) as err:
+        parse_args(["fit", "--dataset", "martin", "--grid", "0.00000000001:0.05:0.01"])
+    assert err.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    config = parse_args(["fit", "--dataset", "martin", "--grid", "0.0000000001:0.05:0.01"])
+    assert _expand_grid(config.tau_grid)[0] == 1e-10
 
 
 def test_caps_are_inclusive():

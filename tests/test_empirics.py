@@ -10,6 +10,7 @@ from qshell.empirics import (
     DatasetParseError,
     DatasetValidationError,
     ExperimentalDataset,
+    FitResult,
     ObservedMagic,
     bundled_dataset_names,
     fit_tau,
@@ -374,3 +375,43 @@ def test_fit_ties_keep_smallest_tau():
     result = fit_tau(ds, [0.030, 0.034, 0.038], 0.39, 40)
     best = [tau for tau, score in result.grid if score == result.score_best]
     assert result.tau_best == best[0]
+
+
+def _plain_fit(ds, grid, primary_gap, count_limit, slack, hbar_omega0, n_max):
+    # fit_tau without the kernel or the score memo: every point takes the
+    # reference path and is matched again.
+    trace = []
+    tau_best, score_best = grid[0], -1.0
+    for tau in grid:
+        predicted = predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max)
+        score = match_magics(predicted, ds, slack=slack).f1
+        trace.append((tau, score))
+        if score > score_best:
+            tau_best, score_best = tau, score
+    return FitResult(tau_best, score_best, tuple(trace))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    grid=st.lists(st.floats(min_value=1e-4, max_value=0.3), min_size=1, max_size=30,
+                  unique=True).map(sorted),
+    name=st.sampled_from(BUNDLED_DATASETS),
+    slack=st.integers(min_value=0, max_value=20),
+    primary_gap=st.floats(min_value=0.1, max_value=1.0),
+    count_limit=st.integers(min_value=2, max_value=2000),
+    hbar_omega0=st.sampled_from([1.0, 0.5, 2.0]),
+    n_max=st.integers(min_value=1, max_value=30),
+)
+def test_fit_tau_is_the_plain_reference_loop(grid, name, slack, primary_gap, count_limit,
+                                             hbar_omega0, n_max):
+    # Same trace, best point and errors; later points may raise
+    # InsufficientNMaxError where a larger tau needs a larger n_max.
+    args = (load_named_dataset(name), grid, primary_gap, count_limit, slack, hbar_omega0, n_max)
+    assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)

@@ -1,7 +1,8 @@
 """The behaviour contract: command output equals the committed goldens.
 
 perfbench/golden holds the stdout of criterion 11's commands and of the
-fine-grid fit on martin, captured with perfbench/capture_golden.py.
+fine-grid fit on the five experimental datasets, captured with
+perfbench/capture_golden.py.
 These tests run each command in process and only read those files.
 """
 
@@ -29,6 +30,15 @@ def test_command_matches_golden(argv):
     assert _stdout(argv) == (GOLDEN / "cli-mix" / f"{slug}.out").read_bytes()
 
 
+def _matches_fine_fit_golden(dataset):
+    golden = gzip.decompress((GOLDEN / "fit-fine" / f"{dataset}.out.gz").read_bytes())
+    return _stdout(["fit", "--dataset", dataset, "--grid", "0.02:0.06:0.00001"]) == golden
+
+
 def test_fine_fit_matches_golden():
-    golden = gzip.decompress((GOLDEN / "fit-fine" / "martin.out.gz").read_bytes())
-    assert _stdout(["fit", "--dataset", "martin", "--grid", "0.02:0.06:0.00001"]) == golden
+    assert _matches_fine_fit_golden("martin")
+
+
+@pytest.mark.parametrize("dataset", ["bjornholm", "knight", "pedersen", "brechignac"])
+def test_other_fine_fits_match_golden(dataset):
+    assert _matches_fine_fit_golden(dataset)

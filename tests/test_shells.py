@@ -3,7 +3,7 @@ import re
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qshell.empirics import predicted_primary_magics
 from qshell.qmath import DeformationParameter
@@ -16,9 +16,10 @@ from qshell.shells import (
     build_scheme,
     detect_shells,
     render_table,
+    _primaries,
     _sorted,
 )
-from qshell.spectrum import Level, ModelParameters, _levels_up_to, enumerate_levels
+from qshell.spectrum import Level, ModelParameters, _levels_up_to, energy, enumerate_levels
 
 PRIMARY_MAGICS = [
     2, 8, 20, 34, 40, 58, 92, 138, 198, 254, 268, 338, 440, 556, 676,
@@ -174,6 +175,37 @@ def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit
     for g in [gap] + ([gaps[at_gap % len(gaps)]] if gaps else []):
         expected = primaries(detect_shells(scheme, g, math.nextafter(g, -math.inf)))
         assert predicted_primary_magics(tau, g, count_limit, 1.0, scheme.params.n_max) == expected
+
+
+@settings(deadline=None)
+@given(tau=st.one_of(taus, st.floats(min_value=200.0, max_value=400.0)),
+       hw=st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=5.0),
+                    st.floats(min_value=1e300, max_value=1e308)),
+       n_max=st.integers(min_value=1, max_value=40),
+       count_limit=st.integers(min_value=2, max_value=3000),
+       gap=st.floats(min_value=0.0, max_value=2.0))
+@example(tau=300.0, hw=1.0, n_max=1, count_limit=2, gap=0.39)  # the floor overflows
+def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap):
+    # The fit's kernel gives predicted_primary_magics' list, and None
+    # exactly where build_scheme raises.  At tau = 200 the energy formula
+    # cancels E(1, 1) to a negative value, and build_scheme's empty kept
+    # range raises IndexError.
+    p = params(tau=tau, hw=hw, n_max=n_max)
+    try:
+        build_scheme(p, count_limit)
+    except (InsufficientNMaxError, ValueError, IndexError):
+        assert _primaries(p, count_limit, gap) is None
+        return
+    assert _primaries(p, count_limit, gap) == \
+        predicted_primary_magics(tau, gap, count_limit, hw, n_max)
+
+
+def test_primaries_kernel_takes_an_overflowing_floor_as_inf():
+    p = params(tau=300.0, n_max=1)
+    with pytest.raises(OverflowError):
+        energy(2, 2, p)
+    assert build_scheme(p, 8).cumulative == (2, 8)
+    assert _primaries(p, 8, 0.0) == predicted_primary_magics(300.0, 0.0, 8, 1.0, 1)
 
 
 def test_underfilled_scheme_raises():

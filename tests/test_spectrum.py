@@ -1,8 +1,9 @@
 import math
+import sys
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qshell.qmath import DeformationParameter
 from qshell.spectrum import (
@@ -14,6 +15,7 @@ from qshell.spectrum import (
     energy,
     energy_taylor,
     enumerate_levels,
+    _energies_up_to,
     _levels_up_to,
     _shape,
 )
@@ -245,6 +247,29 @@ def test_enumerate_levels_is_bitwise_energy(tau, hw, n_max):
         assert lev.energy.hex() == energy(lev.n, lev.l, p).hex(), (lev.n, lev.l)
 
 
+@given(
+    tau=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5),
+                  st.floats(min_value=200.0, max_value=400.0)),
+    hw=st.one_of(st.floats(min_value=0.1, max_value=5.0),
+                 st.floats(min_value=1e300, max_value=1e308)),
+    n_hi=st.integers(min_value=1, max_value=40),
+)
+@example(tau=300.0, hw=1.0, n_hi=1)  # energy(2, 2) raises OverflowError
+def test_next_shell_floor_is_bitwise_energy(tau, hw, n_hi):
+    # build_scheme's completeness floor: energy() of level (n_hi + 1, n_hi + 1),
+    # with an OverflowError read as inf.
+    p = params(tau, hw, n_hi)
+    try:
+        _, floor = _energies_up_to(p, n_hi)
+    except ValueError:  # the table itself overflows
+        return
+    try:
+        expected = energy(n_hi + 1, n_hi + 1, p)
+    except OverflowError:
+        expected = math.inf
+    assert floor.hex() == expected.hex()
+
+
 def test_enumerate_levels_counts_and_capacity():
     levs = enumerate_levels(P038)
     assert len(levs) == sum(n // 2 + 1 for n in range(25))
@@ -260,6 +285,27 @@ def test_model_parameters_validation():
         ModelParameters(D038, hbar_omega0=math.inf)
     with pytest.raises(ValueError):
         ModelParameters(D038, n_max=0)
+
+
+@pytest.mark.parametrize("hw", [5e-324, 1e-323, math.nextafter(sys.float_info.min, 0.0)])
+def test_model_parameters_reject_subnormal_scale(hw):
+    # At hbar_omega0 = 1e-323 the scaled energies tied, and levels fell
+    # back to (n, l) order: (2, 0) came before (2, 2).
+    with pytest.raises(ValueError, match="hbar_omega0 must be a normal positive float"):
+        ModelParameters(D038, hbar_omega0=hw)
+    assert ModelParameters(D038, hbar_omega0=sys.float_info.min).hbar_omega0 > 0
+
+
+@pytest.mark.parametrize("hw", [sys.float_info.min, 1e-200, 2.5e298])
+def test_normal_scale_keeps_the_level_order(hw):
+    # Over the fitted tau range; at tau near 1e-16 the levels of a shell
+    # are an ulp apart, and any scale that is not a power of 2 can tie them.
+    def order(tau, scale):
+        levels = enumerate_levels(params(tau, scale, 30))
+        return [(lev.n, lev.l) for lev in sorted(levels, key=lambda v: (v.energy, v.n, v.l))]
+
+    for k in range(1, 101):
+        assert order(k / 1000, hw) == order(k / 1000, 1.0), k
 
 
 def test_model_parameters_reject_negative_tau():
