@@ -50,7 +50,10 @@ MAX_COUNT_LIMIT = 1_000_000
 # Largest total work of a fit: tau grid points times the levels of shells
 # 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
 # microseconds per level, so this bounds a fit to a few seconds; the
-# 4001-point fine grid at the defaults is 676169.
+# 4001-point fine grid at the defaults is 676169.  The fit's sweep skips
+# most points of a fine grid (it evaluates 749 of those 4001), but where
+# the levels cross every few points it evaluates every one, so the cap
+# stays on the number of points.
 MAX_FIT_LEVELS = 10_000_000
 
 
@@ -101,13 +104,21 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command`'s alone.
+
+    A subcommand's help, usage and errors read only its own subparser, and
+    the main parser's usage names no subcommand, so `command`'s subparser
+    alone parses its command lines with the same output.
+    """
     parser = argparse.ArgumentParser(
         prog="qshell",
         description="Deformed-oscillator shell structure: levels, magic numbers, fits.",
     )
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (_, help_text, groups, formats) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         sub = subs.add_parser(name, help=help_text)
         for group in groups:
             for flags, options in _OPTIONS[group]:
@@ -139,7 +150,8 @@ def _parse_grid_spec(parser: argparse.ArgumentParser, spec: str) -> tuple[float,
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Turn argv into a validated RunConfig; exits with status 2 on usage errors."""
-    parser = _build_parser()
+    # Only the main parser's help and its command errors list every command.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     ns = parser.parse_args(argv)
 
     if hasattr(ns, "tau") and not (math.isfinite(ns.tau) and ns.tau >= 0):

@@ -12,9 +12,10 @@ order: the result equals a sort on (energy, n, l), ties at tau = 0
 included, without building a key tuple per level.
 
 build_scheme is the reference path: it builds Level records and a
-validated LevelScheme.  A fit evaluates thousands of taus through
-_primaries instead, which applies the same sort, cut and completeness
-rule to the energy column and returns the primary magic numbers alone.
+validated LevelScheme.  A fit evaluates its taus through _fit_point
+instead, which applies the same sort, cut and completeness rule to the
+energy column and returns the primary magic numbers, with the sorted
+prefix and the margin that let the fit carry them to nearby taus.
 """
 
 import math
@@ -24,8 +25,7 @@ from functools import partial
 from itertools import accumulate, takewhile
 from operator import ge, itemgetter
 
-from .spectrum import (Level, ModelParameters, _energies_up_to, _levels_up_to, _shape, energy,
-                       enumerate_levels)
+from .spectrum import Level, ModelParameters, _energies_up_to, _shape, energy, enumerate_levels
 
 __all__ = [
     "MagicGrade",
@@ -130,21 +130,24 @@ def _is_complete(next_shell_floor: float, top_energy: float, totals: list[int],
 def _required_n_max(p: ModelParameters, count_limit: int) -> int:
     """The smallest n_max above p.n_max whose scheme is complete.
 
-    Levels up to a trial bound are built and sorted once, and every
-    candidate below that bound is checked against them; the bound grows
-    by _N_MAX_STEP shells only if no candidate passes.
+    The energy column up to a trial bound is computed and sorted once, and
+    every candidate below that bound is checked against it; the bound grows
+    by _N_MAX_STEP shells only if no candidate passes.  Where the column is
+    accepted, (0, 0) is its lowest level, so no kept range is empty.
     """
     n = p.n_max
     while True:
         n_hi = n + _N_MAX_STEP
-        table = _levels_up_to(p, n_hi + 1)
-        floors = {lev.n: lev.energy for lev in table if lev.l == lev.n}
-        ordered = _sorted(table, n_hi + 1)
+        energies, _ = _energies_up_to(p, n_hi + 1)
+        ns, _, degeneracies, by_n_l = _shape(n_hi + 1)
+        order = sorted(by_n_l, key=energies.__getitem__)  # the stable one-key sort
         while n < n_hi:
             n += 1
-            levels = [lev for lev in ordered if lev.n <= n]
-            kept, totals = _truncated(levels, count_limit)
-            if _is_complete(floors[n + 1], kept[-1].energy, totals, len(levels), count_limit):
+            within = [i for i in order if ns[i] <= n]
+            totals = _totals(map(degeneracies.__getitem__, within), count_limit)
+            # ns.index(n + 1) is level (n + 1, n + 1), the first of its shell.
+            if _is_complete(energies[ns.index(n + 1)], energies[within[len(totals) - 1]],
+                            totals, len(within), count_limit):
                 return n
 
 
@@ -159,13 +162,12 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     """
     if count_limit < 2:
         raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
+    # enumerate_levels raises where the energies overflow or cancel, the
+    # floor's included, and otherwise (0, 0) is the lowest level, so kept
+    # holds at least it.
     levels = enumerate_levels(p)
     kept, totals = _truncated(_sorted(levels, p.n_max), count_limit)
-    try:
-        next_shell_floor = energy(p.n_max + 1, p.n_max + 1, p)
-    except OverflowError:
-        # Beyond float range, so above every level of the table.
-        next_shell_floor = math.inf
+    next_shell_floor = energy(p.n_max + 1, p.n_max + 1, p)
     if not _is_complete(next_shell_floor, kept[-1].energy, totals, len(levels), count_limit):
         if next_shell_floor > kept[-1].energy:
             reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
@@ -179,11 +181,18 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     return LevelScheme(tuple(kept), tuple(totals), p)
 
 
-def _primaries(p: ModelParameters, count_limit: int, primary_gap: float) -> list[int] | None:
-    """predicted_primary_magics' list for p, from the energy column alone.
+def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
+    """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
-    The sort, cut and completeness rule are build_scheme's.  Returns None
-    where build_scheme would raise; checks no argument.
+    The list is read off the energy column with build_scheme's sort, cut
+    and completeness rule.
+
+    Returns None where build_scheme would raise, else (primaries, cut,
+    margin).  cut is (k, prefix): the number k of kept levels, and the table
+    indices of the kept levels and the two above them in energy order.
+    margin is the smallest of the differences between adjacent prefix
+    levels, of |gap - primary_gap| over the k - 1 kept gaps, and of the
+    next-shell floor minus the top kept energy.  Checks no argument.
     """
     _, _, degeneracies, by_n_l = _shape(p.n_max)
     try:
@@ -192,11 +201,19 @@ def _primaries(p: ModelParameters, count_limit: int, primary_gap: float) -> list
         return None
     order = sorted(by_n_l, key=energies.__getitem__)  # the stable one-key sort
     totals = _totals(map(degeneracies.__getitem__, order), count_limit)
-    ordered = [energies[i] for i in order[:len(totals)]]
-    if totals and _is_complete(next_shell_floor, ordered[-1], totals, len(order), count_limit):
-        return [count for low, high, count in zip(ordered, ordered[1:], totals)
-                if high - low > primary_gap]
-    return None
+    k = len(totals)
+    prefix = order[:k + 2]
+    ordered = [energies[i] for i in prefix]
+    if not (totals and _is_complete(next_shell_floor, ordered[k - 1], totals, len(order),
+                                    count_limit)):
+        return None
+    steps = [high - low for low, high in zip(ordered, ordered[1:])]
+    gaps = steps[:k - 1]
+    primaries = [count for gap, count in zip(gaps, totals) if gap > primary_gap]
+    margin = min(min(steps, default=math.inf),
+                 min((abs(gap - primary_gap) for gap in gaps), default=math.inf),
+                 next_shell_floor - ordered[k - 1])
+    return primaries, (k, tuple(prefix)), margin
 
 
 def detect_shells(

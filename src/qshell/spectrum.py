@@ -21,16 +21,20 @@ difference and one product.  It uses the same float operations in the
 same order as energy(), so both give bit-identical energies (the CSV and
 JSON output print repr(energy)), and it also returns the next shell's
 lowest energy, which decides whether a truncated scheme is complete.
+It refuses a tau where the two terms cancel to more than a relative
+1e-6 of rounding (above tau of about 8), and _drift_bounds bounds the
+second derivative and the rounding of those energies for the fit's sweep.
 The levels follow the tau-independent (n, l, 2(2l+1)) shape of the
 table, cached and checked against Level's rules once per n_max, so
 enumerate_levels() makes its Level records without checking them again.
 """
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .qmath import DeformationParameter, q_bracket
 
@@ -179,11 +183,38 @@ def _overflow(p: ModelParameters, n_hi: int) -> ValueError:
     )
 
 
+# Unit roundoff of a double, and the largest relative rounding error that
+# _energies_up_to accepts in an energy.  E(1, 1) is hbar_omega0 exactly, so
+# there the tolerance is 1e-6 hbar_omega0, below every printed decimal.
+_U = 2.0 ** -53
+_TOLERANCE = 1e-6
+
+
+def _term_error(tau: float, n_hi: int) -> float:
+    """Relative rounding bound of shell[n] and casimir[l], n, l <= n_hi + 1.
+
+    In _energies_up_to's operations, with exp, sinh, tanh and pow within
+    2 ulps: sinh(tau k) adds (1 + tau k) u for the rounding of tau k, so
+    [k] is within (10 + tau k) u; q ** (n + 1) carries q's error n + 1
+    times, (4n + 8) u; shell[n] is within (19 + 4n + tau n) u and casimir[l]
+    within (31 + 2 tau l + tau) u.  The difference and the scaling by
+    hbar_omega0 add 2u of shell[n] + casimir[l].  So every energy of the
+    column, and the next-shell floor, is within
+    _term_error * hbar_omega0 * (shell[n] + casimir[l]) of its exact value;
+    4 (n_hi + 10)(1 + tau) u covers this with room for second-order terms.
+    """
+    return 4 * (n_hi + 10) * (1 + tau) * _U
+
+
 def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
     """energy(n, l, p) of each level of _shape(n_hi), and energy(n_hi+1, n_hi+1, p).
 
-    Both bit for bit; the second, the next-shell floor, is inf where energy()
-    raises OverflowError.  Raises ValueError when a level overflows a float.
+    Both bit for bit.  Raises ValueError when a level or the floor overflows
+    a float, and when cancellation could put an energy further than
+    _TOLERANCE of its value from the exact one.  The two terms of E(n, l)
+    grow as e^(2 tau n) while E(n, n) = sinh(2 n tau) / sinh(2 tau), so
+    that happens above tau of about 8 (E(1, 1) = 1 evaluates to 0.0 at
+    tau = 20).
     """
     tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0
@@ -213,8 +244,68 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
         floor = hbar_omega0 * (bracket[m] * q ** (m + 1)
                                - casimir_coeff * (bracket[m] * bracket_above))
     except OverflowError:
-        floor = math.inf
+        raise _overflow(p, m) from None
+    # Every energy is within _term_error * (shell[n] + casimir[l]) of its
+    # exact value, and shell[n] + casimir[l] <= 2 (e^(2 tau) + 1) E(n, l).
+    relative_error = 2 * _term_error(tau, n_hi) * (q * q + 1)
+    if relative_error > _TOLERANCE:
+        raise ValueError(
+            f"energies of shells 0..{n_hi} cancel at tau={tau!r}: their relative rounding "
+            f"error may reach {relative_error:.3g}, above the tolerance {_TOLERANCE:g}"
+        )
     return [hbar_omega0 * (shell[n] - casimir[l]) for n, l in zip(ns, ls)], floor
+
+
+def _drift_bounds(n_max: int, hbar_omega0: float):
+    """A function of tau_hi giving (M, eps) for the levels of shells 0..n_max + 1.
+
+    M bounds |d^2/dtau^2 (E(n, l) - E(n', l'))| over 0 <= tau <= tau_hi, and
+    eps bounds the rounding error of every energy _energies_up_to returns
+    at any tau in that range, the next-shell floor included.
+
+    E = hbar_omega0 (S_n - C_l), with S_n = [n] q^(n+1) = sum_{m=1..n} e^(2 m tau)
+    and C_l = f [l][l+1], f = q tanh(tau).  [l][l+1] = P_l(tau) =
+    sum_{i=1..l} 2 (l - i + 1) cosh((2i - 1) tau), from [l+1] - [l-1] =
+    2 cosh(l tau).  For tau >= 0:
+    - S_n'' = sum 4 m^2 e^(2 m tau) >= 0, rising with n and tau;
+    - P_l, P_l' and P_l'' are positive sums of cosh and sinh terms, rising
+      with l and tau;
+    - f = e^tau t (t = tanh tau), f' = e^tau (1 + t - t^2) <= 1.25 e^tau and
+      f'' = e^tau (2 - t - 2t^2 + 2t^3), in [0, 2 e^tau]; so
+      0 <= C_l'' = f'' P_l + 2 f' P_l' + f P_l'' <= 2 e^tau P_l + 2.5 e^tau P_l' + f P_l''.
+    Both second derivatives are non-negative, so the difference of two
+    levels' is at most the larger one's:
+        M = hbar_omega0 (S_L''(tau_hi) + C_L''-bound(tau_hi)),  L = n_max + 1.
+    eps is _term_error at tau_hi times hbar_omega0 (S_L + C_L), the largest
+    terms, both rising with tau.  The sums are of positive terms, and
+    their rounding is covered by a factor 1 + 1e-9.  Overflow gives inf.
+    The tables are O(n_max) and built once per call.
+    """
+    top = n_max + 1
+    shells = range(1, top + 1)
+    odd = [2 * i - 1 for i in shells]
+    s2 = [4 * m * m for m in shells]
+    p0 = [2 * (top - i + 1) for i in shells]
+    p1 = [a * k for a, k in zip(p0, odd)]
+    p2 = [a * k for a, k in zip(p1, odd)]
+
+    def bounds(tau_hi: float) -> tuple[float, float]:
+        try:
+            x = math.exp(2 * tau_hi)
+            powers = list(accumulate(repeat(x, top), operator.mul))  # e^(2 m tau)
+            cosh = [math.cosh(k * tau_hi) for k in odd]
+            sinh = [math.sinh(k * tau_hi) for k in odd]
+        except OverflowError:
+            return math.inf, math.inf
+        y = math.exp(tau_hi)
+        f = y * math.tanh(tau_hi)
+        casimir_p = sum(map(operator.mul, p0, cosh))
+        m = (sum(map(operator.mul, s2, powers)) + 2 * y * casimir_p
+             + 2.5 * y * sum(map(operator.mul, p1, sinh)) + f * sum(map(operator.mul, p2, cosh)))
+        eps = _term_error(tau_hi, n_max) * (sum(powers) + f * casimir_p)
+        return hbar_omega0 * m * (1 + 1e-9), hbar_omega0 * eps * (1 + 1e-9)
+
+    return bounds
 
 
 def _levels_up_to(p: ModelParameters, n_hi: int) -> list[Level]:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qshell import cli
 from qshell.cli import (
     MAX_COUNT_LIMIT,
     MAX_FIT_LEVELS,
@@ -97,6 +98,38 @@ def test_usage_errors_exit_2(argv, capsys):
         parse_args(argv)
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def _parse_outcome(argv, capsys):
+    try:
+        config, code = parse_args(argv), None
+    except SystemExit as exc:
+        config, code = None, exc.code
+    out, err = capsys.readouterr()
+    return config, code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["--bogus"], ["-h", "magics"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    ["magics", "--bogus"], ["fit", "--dataset", "martin", "--grid", "x"], ["levels", "extra"],
+    ["table", "--format", "csv"], ["export", "--n-max", "0"], ["compare"],
+    ["fit", "--dataset", "martin", "--gap", "0.3"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_one_subparser_parses_like_the_full_parser(argv, capsys, monkeypatch):
+    # parse_args adds the options of argv's command alone; help, usage,
+    # errors, exit codes and the parsed config stay those of the parser
+    # with every command.
+    outcome = _parse_outcome(argv, capsys)
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
+    assert outcome == _parse_outcome(argv, capsys)
+
+
+def test_a_command_line_builds_its_command_alone():
+    parser = cli._build_parser("magics")
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == ["magics"]
 
 
 def test_collapsing_grid_is_a_grid_error(capsys):

@@ -19,8 +19,9 @@ from qshell.empirics import (
     match_magics,
     predicted_primary_magics,
 )
+from qshell import empirics
 from qshell.qmath import DeformationParameter
-from qshell.shells import build_scheme
+from qshell.shells import InsufficientNMaxError, _fit_point, build_scheme
 from qshell.spectrum import ModelParameters
 
 MARTIN = [
@@ -415,3 +416,98 @@ def test_fit_tau_is_the_plain_reference_loop(grid, name, slack, primary_gap, cou
     # InsufficientNMaxError where a larger tau needs a larger n_max.
     args = (load_named_dataset(name), grid, primary_gap, count_limit, slack, hbar_omega0, n_max)
     assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
+
+
+# ------------------------------------------------------------ certified sweep
+
+
+def _direct_trace(ds, grid, primary_gap, count_limit, slack=0, hbar_omega0=1.0, n_max=24):
+    # Every point read off the kernel, none carried over from a neighbour.
+    trace = []
+    for tau in grid:
+        params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
+        predicted, _, _ = _fit_point(params, count_limit, primary_gap)
+        trace.append((tau, match_magics(predicted, ds, slack=slack).f1))
+    return tuple(trace)
+
+
+@st.composite
+def _sweep_grids(draw):
+    # Uniform grids, often dense enough for the sweep to certify ranges, or
+    # sorted random points.
+    lo = draw(st.floats(min_value=1e-4, max_value=0.14))
+    hi = lo + draw(st.one_of(st.floats(min_value=0.0, max_value=0.003),
+                             st.floats(min_value=0.0, max_value=0.15 - lo)))
+    size = draw(st.integers(min_value=1, max_value=150))
+    if draw(st.booleans()):
+        step = (hi - lo) / size
+        grid = [lo + i * step for i in range(size + 1)]
+    else:
+        grid = draw(st.lists(st.floats(min_value=lo, max_value=hi), min_size=1, max_size=size))
+    return sorted(set(grid))  # a tiny step can round two points to one
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    grid=_sweep_grids(),
+    name=st.sampled_from(BUNDLED_DATASETS),
+    primary_gap=st.floats(min_value=0.0, max_value=1.0),
+    fill=st.floats(min_value=0.0, max_value=1.0),
+    hbar_omega0=st.sampled_from([1.0, 0.5, 1.7]),
+    n_max=st.integers(min_value=8, max_value=40),
+)
+def test_sweep_trace_is_the_per_point_trace(grid, name, primary_gap, fill, hbar_omega0, n_max):
+    # The certified sweep gives the trace, best point and error of evaluating
+    # every point through predicted_primary_magics.  count_limit is a share
+    # of what shells 0..n_max hold, so later points may need a larger n_max.
+    count_limit = max(2, round(fill * (n_max + 1) * (n_max + 2) * (n_max + 3) / 3))
+    args = (load_named_dataset(name), grid, primary_gap, count_limit, 0, hbar_omega0, n_max)
+    assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
+
+
+@pytest.mark.parametrize("grid, options, most_evaluated", [
+    ((0.02, 0.06, 1e-5), {}, 1000),
+    ((0.02, 0.06, 1e-5), {"n_max": 30, "count_limit": 3000}, 1600),
+    # Below tau = 0.01 the levels of a shell lie within ~tau l^2 of each
+    # other, and the magic list changes every few points.
+    ((0.001, 0.12, 3e-5), {"n_max": 40}, 3500),
+    ((0.02, 0.06, 1e-5), {"primary_gap": 0.3}, 1000),
+], ids=["defaults", "n_max 30, count_limit 3000", "tau 0.001-0.12, n_max 40", "gap 0.3"])
+def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_evaluated, monkeypatch):
+    lo, hi, step = grid
+    taus = [round(lo + i * step, 10) for i in range(round((hi - lo) / step) + 1)]
+    kwargs = {"primary_gap": 0.39, "count_limit": 1520, **options}
+    ds = load_named_dataset("martin")
+    evaluated = []
+    kernel = empirics._fit_point
+    monkeypatch.setattr(empirics, "_fit_point", lambda *a: evaluated.append(a) or kernel(*a))
+    result = fit_tau(ds, taus, **kwargs)
+    assert result.grid == _direct_trace(ds, taus, **kwargs)
+    # Each point at most once, and many not at all (749 of 4001 at the defaults).
+    assert len({a[0].deformation.tau for a in evaluated}) == len(evaluated) <= most_evaluated
+
+
+@pytest.mark.parametrize("grid, primary_gap", [
+    ((0.0732, 0.0734, 0.0736), 0.455346),
+    ((0.0738, 0.074, 0.0742), 1.435134),
+    ((0.0834, 0.084, 0.0846), 0.199115),
+])
+def test_sweep_sees_a_gap_that_crosses_the_threshold_and_back(grid, primary_gap):
+    # The ends share their level order, their cut and their magic list, but
+    # one kept gap rises above primary_gap between them: their margins do
+    # not cover the drift over h, so the middle point is evaluated.
+    ds = load_named_dataset("martin")
+    lists = [predicted_primary_magics(tau, primary_gap, 1520) for tau in grid]
+    assert lists[0] == lists[2] != lists[1]
+    assert fit_tau(ds, grid, primary_gap, 1520).grid == _direct_trace(ds, grid, primary_gap, 1520)
+
+
+def test_sweep_raises_at_the_first_point_that_needs_a_larger_n_max():
+    # n_max 12 holds 700 particles completely only up to tau = 0.0491, and
+    # again above 0.0939.  The sweep visits later points first; the error is
+    # still that of the first failing point.
+    taus = [round(0.02 + i * 1e-5, 10) for i in range(4001)]
+    with pytest.raises(InsufficientNMaxError) as err:
+        fit_tau(load_named_dataset("martin"), taus, 0.39, 700, n_max=12)
+    assert str(err.value) == ("n_max=12 is too small for count_limit=700: shell 13 starts "
+                              "below the truncation energy 16.791574; use n_max >= 13")

@@ -16,10 +16,10 @@ from qshell.shells import (
     build_scheme,
     detect_shells,
     render_table,
-    _primaries,
+    _fit_point,
     _sorted,
 )
-from qshell.spectrum import Level, ModelParameters, _levels_up_to, energy, enumerate_levels
+from qshell.spectrum import Level, ModelParameters, _levels_up_to, _shape, energy, enumerate_levels
 
 PRIMARY_MAGICS = [
     2, 8, 20, 34, 40, 58, 92, 138, 198, 254, 268, 338, 440, 556, 676,
@@ -177,6 +177,12 @@ def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit
         assert predicted_primary_magics(tau, g, count_limit, 1.0, scheme.params.n_max) == expected
 
 
+def _primaries(p, count_limit, gap):
+    # The fit kernel's primary list, or None where it cannot finish.
+    point = _fit_point(p, count_limit, gap)
+    return point and point[0]
+
+
 @settings(deadline=None)
 @given(tau=st.one_of(taus, st.floats(min_value=200.0, max_value=400.0)),
        hw=st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=5.0),
@@ -188,24 +194,60 @@ def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit
 def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap):
     # The fit's kernel gives predicted_primary_magics' list, and None
     # exactly where build_scheme raises.  At tau = 200 the energy formula
-    # cancels E(1, 1) to a negative value, and build_scheme's empty kept
-    # range raises IndexError.
+    # cancels, and both refuse the energies.
     p = params(tau=tau, hw=hw, n_max=n_max)
     try:
         build_scheme(p, count_limit)
-    except (InsufficientNMaxError, ValueError, IndexError):
+    except (InsufficientNMaxError, ValueError):
         assert _primaries(p, count_limit, gap) is None
         return
     assert _primaries(p, count_limit, gap) == \
         predicted_primary_magics(tau, gap, count_limit, hw, n_max)
 
 
-def test_primaries_kernel_takes_an_overflowing_floor_as_inf():
-    p = params(tau=300.0, n_max=1)
-    with pytest.raises(OverflowError):
-        energy(2, 2, p)
-    assert build_scheme(p, 8).cumulative == (2, 8)
-    assert _primaries(p, 8, 0.0) == predicted_primary_magics(300.0, 0.0, 8, 1.0, 1)
+@settings(deadline=None)
+@given(tau=taus, n_max=st.integers(min_value=1, max_value=40),
+       count_limit=st.integers(min_value=2, max_value=3000),
+       gap=st.floats(min_value=0.0, max_value=2.0))
+def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max, count_limit,
+                                                                    gap):
+    # The cut is the kept count and the kept levels plus the two above them
+    # in energy order; the margin is the least of their adjacent differences,
+    # of |gap - primary_gap| over the kept gaps, and of floor - top kept.
+    p = params(tau=tau, n_max=n_max)
+    try:
+        scheme = build_scheme(p, count_limit)
+    except InsufficientNMaxError:
+        assert _fit_point(p, count_limit, gap) is None
+        return
+    k = len(scheme.levels)
+    prefix = _sorted(enumerate_levels(p), n_max)[:k + 2]
+    assert prefix[:k] == list(scheme.levels)
+    index = {(n, l): i for i, (n, l) in enumerate(zip(*_shape(n_max)[:2]))}
+    energies = [lev.energy for lev in prefix]
+    steps = [b - a for a, b in zip(energies, energies[1:])]
+    margin = min(steps + [abs(g - gap) for g in steps[:k - 1]]
+                 + [energy(n_max + 1, n_max + 1, p) - energies[k - 1]])
+    assert _fit_point(p, count_limit, gap) == (
+        predicted_primary_magics(tau, gap, count_limit, 1.0, n_max),
+        (k, tuple(index[lev.n, lev.l] for lev in prefix)),
+        margin,
+    )
+
+
+@pytest.mark.parametrize("tau, n_max, count_limit, message", [
+    (200.0, 1, 2, "cancel at tau=200.0"),   # E(1, 1) = 1 evaluated to -1.1e158
+    (20.0, 2, 8, "cancel at tau=20.0"),     # E(1, 1) = 1 evaluated to 0.0
+    (300.0, 1, 8, "shells 0..2 overflow a float at tau=300.0"),  # energy(2, 2) overflows
+])
+def test_cancelling_energies_are_an_error(tau, n_max, count_limit, message):
+    # Never a scheme built on cancelled energies, and never an IndexError
+    # from an empty kept range, in build_scheme, its n_max search or the kernel.
+    p = params(tau=tau, n_max=n_max)
+    for limit in (count_limit, 1520):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_scheme(p, limit)
+        assert _fit_point(p, limit, 0.39) is None
 
 
 def test_underfilled_scheme_raises():

@@ -3,7 +3,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qshell.qmath import DeformationParameter
 from qshell.spectrum import (
@@ -15,9 +15,12 @@ from qshell.spectrum import (
     energy,
     energy_taylor,
     enumerate_levels,
+    _TOLERANCE,
+    _drift_bounds,
     _energies_up_to,
     _levels_up_to,
     _shape,
+    _term_error,
 )
 
 D038 = DeformationParameter(0.038)
@@ -360,3 +363,71 @@ def test_shape_checks_every_level(monkeypatch, bad_l):
             _shape(3)
     finally:
         _shape.cache_clear()
+
+
+def _exact_terms(n, l, t):
+    # [n] q^(n+1) and q tanh(tau) [l][l+1] at mpmath's working precision.
+    bracket = lambda k: mpmath.sinh(t * k) / mpmath.sinh(t)
+    q = mpmath.exp(t)
+    return bracket(n) * q ** (n + 1), q * mpmath.tanh(t) * bracket(l) * bracket(l + 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    tau=st.one_of(st.floats(min_value=1e-6, max_value=0.5), st.floats(min_value=6.0, max_value=9.0),
+                  st.floats(min_value=1e-6, max_value=30.0)),
+    hw=st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1e3)),
+    n_hi=st.integers(min_value=1, max_value=30),
+)
+@example(tau=8.0, hw=1.0, n_hi=1)
+def test_accepted_energies_are_within_their_rounding_bound(tau, hw, n_hi):
+    # Every energy _energies_up_to returns, and its floor, is within
+    # _term_error * hbar_omega0 * (shell + casimir) of the 40-digit value,
+    # and within _TOLERANCE of it relatively; beyond that it refuses.
+    p = params(tau, hw, n_hi)
+    try:
+        energies, floor = _energies_up_to(p, n_hi)
+    except ValueError as exc:
+        assert "overflow a float" in str(exc) or "cancel at tau" in str(exc)
+        return
+    ns, ls, _, _ = _shape(n_hi)
+    with mpmath.workdps(40):
+        for n, l, value in [*zip(ns, ls, energies), (n_hi + 1, n_hi + 1, floor)]:
+            shell, casimir = _exact_terms(n, l, mpmath.mpf(tau))
+            exact = hw * (shell - casimir)
+            error = abs(value - exact)
+            assert error <= _term_error(tau, n_hi) * hw * (shell + casimir), (n, l)
+            assert error <= _TOLERANCE * exact, (n, l)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    tau_hi=st.floats(min_value=1e-3, max_value=1.0),
+    share=st.floats(min_value=1e-3, max_value=1.0),
+    n_max=st.integers(min_value=1, max_value=60),
+    hw=st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1e3)),
+    first=st.integers(min_value=0),
+    second=st.integers(min_value=0),
+)
+def test_drift_bounds_hold(tau_hi, share, n_max, hw, first, second):
+    # M bounds the second derivative of every level, and of every difference
+    # of two levels, of shells 0..n_max + 1 at any tau <= tau_hi; eps bounds
+    # the rounding of those levels there.
+    m, eps = _drift_bounds(n_max, hw)(tau_hi)
+    tau = tau_hi * share
+    ns, ls, _, _ = _shape(n_max + 1)
+    a, b = first % len(ns), second % len(ns)
+    with mpmath.workdps(40):
+        def level(i):
+            return lambda t: hw * (lambda s, c: s - c)(*_exact_terms(ns[i], ls[i], t))
+
+        t = mpmath.mpf(tau)
+        curvature_a = mpmath.diff(level(a), t, 2)
+        curvature_b = mpmath.diff(level(b), t, 2)
+        assert abs(curvature_a) <= m and abs(curvature_a - curvature_b) <= m
+        energies, floor = _energies_up_to(params(tau, hw, n_max), n_max)
+        # Shells 0..n_max keep their table index; shell n_max + 1 is the floor.
+        for i in (a, b):
+            value = energies[i] if ns[i] <= n_max else floor
+            if ls[i] == ns[i] or ns[i] <= n_max:
+                assert abs(value - level(i)(t)) <= eps, (ns[i], ls[i])
