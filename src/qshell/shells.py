@@ -11,11 +11,13 @@ order, and Python's sort is stable, so levels of equal energy keep that
 order: the result equals a sort on (energy, n, l), ties at tau = 0
 included, without building a key tuple per level.
 
-build_scheme is the reference path: it builds Level records and a
-validated LevelScheme.  A fit evaluates its taus through _fit_point
-instead, which applies the same sort, cut and completeness rule to the
-energy column and returns the primary magic numbers, with the sorted
-prefix and the margin that let the fit carry them to nearby taus.
+_cut is the one place that sorts, cuts at the count limit and judges a
+scheme complete.  build_scheme is the reference path: it cuts the
+energies of its Level records and builds a validated LevelScheme.  A fit
+evaluates its taus through _fit_point instead, which cuts the energy
+column and returns the primary magic numbers, with the sorted prefix and
+the margin that let the fit carry them to nearby taus.  _required_n_max
+cuts the prefixes of one longer column.
 """
 
 import math
@@ -23,7 +25,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import partial
 from itertools import accumulate, takewhile
-from operator import ge, itemgetter
+from operator import ge
 
 from .spectrum import Level, ModelParameters, _energies_up_to, _shape, energy, enumerate_levels
 
@@ -99,55 +101,43 @@ class LevelScheme(namedtuple("LevelScheme", "levels cumulative params")):
 _N_MAX_STEP = 8
 
 
-_energy = itemgetter(2)
+def _cut(energies: list[float], next_shell_floor: float, n_hi: int, count_limit: int):
+    """(order, totals, complete) of the scheme of shells 0..n_hi.
 
-
-def _sorted(table: list[Level], n_hi: int) -> list[Level]:
-    # The stable one-key sort of the module docstring.
-    return sorted(map(table.__getitem__, _shape(n_hi)[3]), key=_energy)
-
-
-def _totals(degeneracies, count_limit: int) -> list[int]:
-    # The running totals while they stay within count_limit.
-    return list(takewhile(partial(ge, count_limit), accumulate(degeneracies)))
-
-
-def _truncated(ordered: list[Level], count_limit: int) -> tuple[list[Level], list[int]]:
-    totals = _totals((lev[3] for lev in ordered), count_limit)  # lev[3]: degeneracy
-    return ordered[:len(totals)], totals
-
-
-def _is_complete(next_shell_floor: float, top_energy: float, totals: list[int],
-                 enumerated: int, count_limit: int) -> bool:
-    # For tau >= 0 the lowest level of shell m is (m, m), and it rises with
-    # m.  So no omitted level reaches below top_energy once shell n_max+1
-    # starts above it, provided count_limit, not n_max, ended the scheme:
-    # some level was left out, or the total met the limit exactly.
-    cut = len(totals) < enumerated or totals[-1] == count_limit
-    return cut and next_shell_floor > top_energy
+    energies is the column of _shape(n_hi), or a longer one that starts
+    with it.  order is the column's indices in energy order (the stable
+    one-key sort), totals the running occupancies within count_limit:
+    order[:len(totals)] is kept.  For tau >= 0 the lowest level of shell m
+    is (m, m), rising with m, so the scheme is complete when count_limit,
+    not n_hi, ended it (a level was left out, or the total met the limit)
+    and shell n_hi+1 starts above the top kept energy.  Where the column is
+    accepted, (0, 0) is its lowest level, so count_limit >= 2 keeps it.
+    """
+    _, _, degeneracies, by_n_l = _shape(n_hi)
+    order = sorted(by_n_l, key=energies.__getitem__)
+    running = accumulate(map(degeneracies.__getitem__, order))
+    totals = list(takewhile(partial(ge, count_limit), running))
+    k = len(totals)
+    complete = ((k < len(order) or totals[-1] == count_limit)
+                and next_shell_floor > energies[order[k - 1]])
+    return order, totals, complete
 
 
 def _required_n_max(p: ModelParameters, count_limit: int) -> int:
     """The smallest n_max above p.n_max whose scheme is complete.
 
-    The energy column up to a trial bound is computed and sorted once, and
-    every candidate below that bound is checked against it; the bound grows
-    by _N_MAX_STEP shells only if no candidate passes.  Where the column is
-    accepted, (0, 0) is its lowest level, so no kept range is empty.
+    The energy column up to a trial bound is computed once, and every
+    candidate below that bound is cut on its prefix, with the level after
+    the prefix, (n + 1, n + 1), as the floor; the bound grows by
+    _N_MAX_STEP shells only if no candidate passes.
     """
     n = p.n_max
     while True:
         n_hi = n + _N_MAX_STEP
         energies, _ = _energies_up_to(p, n_hi + 1)
-        ns, _, degeneracies, by_n_l = _shape(n_hi + 1)
-        order = sorted(by_n_l, key=energies.__getitem__)  # the stable one-key sort
         while n < n_hi:
             n += 1
-            within = [i for i in order if ns[i] <= n]
-            totals = _totals(map(degeneracies.__getitem__, within), count_limit)
-            # ns.index(n + 1) is level (n + 1, n + 1), the first of its shell.
-            if _is_complete(energies[ns.index(n + 1)], energies[within[len(totals) - 1]],
-                            totals, len(within), count_limit):
+            if _cut(energies, energies[len(_shape(n)[0])], n, count_limit)[2]:
                 return n
 
 
@@ -166,9 +156,11 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     # floor's included, and otherwise (0, 0) is the lowest level, so kept
     # holds at least it.
     levels = enumerate_levels(p)
-    kept, totals = _truncated(_sorted(levels, p.n_max), count_limit)
     next_shell_floor = energy(p.n_max + 1, p.n_max + 1, p)
-    if not _is_complete(next_shell_floor, kept[-1].energy, totals, len(levels), count_limit):
+    order, totals, complete = _cut([lev.energy for lev in levels], next_shell_floor, p.n_max,
+                                   count_limit)
+    kept = [levels[i] for i in order[:len(totals)]]
+    if not complete:
         if next_shell_floor > kept[-1].energy:
             reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
         else:
@@ -184,8 +176,7 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
 def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
-    The list is read off the energy column with build_scheme's sort, cut
-    and completeness rule.
+    The list is read off the energy column through build_scheme's _cut.
 
     Returns None where build_scheme would raise, else (primaries, cut,
     margin).  cut is (k, prefix): the number k of kept levels, and the table
@@ -194,19 +185,16 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     levels, of |gap - primary_gap| over the k - 1 kept gaps, and of the
     next-shell floor minus the top kept energy.  Checks no argument.
     """
-    _, _, degeneracies, by_n_l = _shape(p.n_max)
     try:
         energies, next_shell_floor = _energies_up_to(p, p.n_max)
     except ValueError:
         return None
-    order = sorted(by_n_l, key=energies.__getitem__)  # the stable one-key sort
-    totals = _totals(map(degeneracies.__getitem__, order), count_limit)
+    order, totals, complete = _cut(energies, next_shell_floor, p.n_max, count_limit)
+    if not complete:
+        return None
     k = len(totals)
     prefix = order[:k + 2]
     ordered = [energies[i] for i in prefix]
-    if not (totals and _is_complete(next_shell_floor, ordered[k - 1], totals, len(order),
-                                    count_limit)):
-        return None
     steps = [high - low for low, high in zip(ordered, ordered[1:])]
     gaps = steps[:k - 1]
     primaries = [count for gap, count in zip(gaps, totals) if gap > primary_gap]

@@ -21,7 +21,7 @@ difference and one product.  It uses the same float operations in the
 same order as energy(), so both give bit-identical energies (the CSV and
 JSON output print repr(energy)), and it also returns the next shell's
 lowest energy, which decides whether a truncated scheme is complete.
-It refuses a tau where the two terms cancel to more than a relative
+Both refuse a tau where the two terms cancel to more than a relative
 1e-6 of rounding (above tau of about 8), and _drift_bounds bounds the
 second derivative and the rounding of those energies for the fit's sweep.
 The levels follow the tau-independent (n, l, 2(2l+1)) shape of the
@@ -125,6 +125,8 @@ def energy(n: int, l: int, p: ModelParameters) -> float:
     """Exact eigenvalue E(n, l), in hbar*omega0 units.
 
     At tau = 0 this returns hbar_omega0 * n exactly, with no division.
+    Raises ValueError where the two terms cancel, as _energies_up_to does
+    for the column whose next-shell floor is shell n.
     """
     _check_branching(n, l)
     d = p.deformation
@@ -132,6 +134,7 @@ def energy(n: int, l: int, p: ModelParameters) -> float:
     if tau == 0.0:
         return p.hbar_omega0 * n
     q = math.exp(tau)
+    _check_rounding(tau, q, max(n - 1, 0), (n, l))
     return p.hbar_omega0 * (
         q_bracket(n, d) * q ** (n + 1)
         - q * math.tanh(tau) * casimir_eigenvalue(l, d)
@@ -206,6 +209,24 @@ def _term_error(tau: float, n_hi: int) -> float:
     return 4 * (n_hi + 10) * (1 + tau) * _U
 
 
+def _check_rounding(tau: float, q: float, n_hi: int, level=None) -> None:
+    """Raise ValueError if the energies of shells 0..n_hi + 1 may cancel.
+
+    Every energy is within _term_error * (shell[n] + casimir[l]) of its
+    exact value, and shell[n] + casimir[l] <= 2 (e^(2 tau) + 1) E(n, l).
+    The message names level, the (n, l) of one energy(), if given, else the
+    column of shells 0..n_hi.
+    """
+    relative_error = 2 * _term_error(tau, n_hi) * (q * q + 1)
+    if relative_error > _TOLERANCE:
+        what = (f"energies of shells 0..{n_hi}" if level is None
+                else "the two terms of E({}, {})".format(*level))
+        raise ValueError(
+            f"{what} cancel at tau={tau!r}: their relative rounding "
+            f"error may reach {relative_error:.3g}, above the tolerance {_TOLERANCE:g}"
+        )
+
+
 def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
     """energy(n, l, p) of each level of _shape(n_hi), and energy(n_hi+1, n_hi+1, p).
 
@@ -245,14 +266,7 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
                                - casimir_coeff * (bracket[m] * bracket_above))
     except OverflowError:
         raise _overflow(p, m) from None
-    # Every energy is within _term_error * (shell[n] + casimir[l]) of its
-    # exact value, and shell[n] + casimir[l] <= 2 (e^(2 tau) + 1) E(n, l).
-    relative_error = 2 * _term_error(tau, n_hi) * (q * q + 1)
-    if relative_error > _TOLERANCE:
-        raise ValueError(
-            f"energies of shells 0..{n_hi} cancel at tau={tau!r}: their relative rounding "
-            f"error may reach {relative_error:.3g}, above the tolerance {_TOLERANCE:g}"
-        )
+    _check_rounding(tau, q, n_hi)
     return [hbar_omega0 * (shell[n] - casimir[l]) for n, l in zip(ns, ls)], floor
 
 
@@ -308,17 +322,12 @@ def _drift_bounds(n_max: int, hbar_omega0: float):
     return bounds
 
 
-def _levels_up_to(p: ModelParameters, n_hi: int) -> list[Level]:
-    """_energies_up_to(p, n_hi)'s levels as Level records; n_hi may exceed p.n_max."""
-    ns, ls, degeneracies, _ = _shape(n_hi)
-    energies, _ = _energies_up_to(p, n_hi)
-    # _shape checked every (n, l, degeneracy), and Level checks nothing else.
-    return list(map(_tuple_new, repeat(Level), zip(ns, ls, energies, degeneracies)))
-
-
 def enumerate_levels(p: ModelParameters) -> list[Level]:
     """All levels with 0 <= n <= n_max, in (n, descending l) enumeration order.
 
     Shell n contributes floor(n/2) + 1 levels totalling (n+1)(n+2) particles.
     """
-    return _levels_up_to(p, p.n_max)
+    ns, ls, degeneracies, _ = _shape(p.n_max)
+    energies, _ = _energies_up_to(p, p.n_max)
+    # _shape checked every (n, l, degeneracy), and Level checks nothing else.
+    return list(map(_tuple_new, repeat(Level), zip(ns, ls, energies, degeneracies)))

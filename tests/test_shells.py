@@ -5,6 +5,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qshell import shells
 from qshell.empirics import predicted_primary_magics
 from qshell.qmath import DeformationParameter
 from qshell.shells import (
@@ -16,10 +17,10 @@ from qshell.shells import (
     build_scheme,
     detect_shells,
     render_table,
+    _cut,
     _fit_point,
-    _sorted,
 )
-from qshell.spectrum import Level, ModelParameters, _levels_up_to, _shape, energy, enumerate_levels
+from qshell.spectrum import Level, ModelParameters, _shape, energy, enumerate_levels
 
 PRIMARY_MAGICS = [
     2, 8, 20, 34, 40, 58, 92, 138, 198, 254, 268, 338, 440, 556, 676,
@@ -56,6 +57,16 @@ def test_truncation_keeps_totals_within_limit():
     assert list(build_scheme(params(), count_limit=19).cumulative) == [2, 8, 18]
     assert list(build_scheme(params(), count_limit=18).cumulative) == [2, 8, 18]
     assert list(build_scheme(params(), count_limit=8).cumulative) == [2, 8]
+
+
+@pytest.mark.parametrize("tau, n_max", [(0.0, 1), (0.0, 5), (0.038, 2)])
+def test_a_limit_that_every_level_fills_exactly_is_complete(tau, n_max):
+    # count_limit, not n_max, ends a scheme whose total meets the limit,
+    # even when it keeps every level of shells 0..n_max.
+    capacity = (n_max + 1) * (n_max + 2) * (n_max + 3) // 3
+    s = build_scheme(params(tau=tau, n_max=n_max), capacity)
+    assert len(s.levels) == len(enumerate_levels(params(n_max=n_max)))
+    assert s.cumulative[-1] == capacity
 
 
 def test_degenerate_shells_tie_break():
@@ -129,16 +140,53 @@ def _old_truncated(ordered, count_limit):
 taus = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5))
 
 
+def _builds(p, count_limit):
+    try:
+        build_scheme(p, count_limit)
+    except InsufficientNMaxError:
+        return False
+    return True
+
+
 @settings(deadline=None)
 @given(tau=taus, hw=st.floats(min_value=0.1, max_value=5.0),
-       n_max=st.integers(min_value=1, max_value=40))
-def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max):
-    # Both tables: build_scheme's (shells 0..n_max) and the one
-    # _required_n_max sorts (shells 0..n_max + _N_MAX_STEP + 1).
+       n_max=st.integers(min_value=1, max_value=40),
+       count_limit=st.integers(min_value=2, max_value=3000))
+def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
+    # The one-key sort is the (energy, n, l) sort, on build_scheme's column
+    # (shells 0..n_max) and as a prefix of the longer column _required_n_max
+    # cuts (shells 0..n_max + _N_MAX_STEP + 1), and complete is exactly
+    # build_scheme's acceptance at every bound.
     p = params(tau=tau, hw=hw, n_max=n_max)
-    for n_hi, table in ((n_max, enumerate_levels(p)),
-                        (n_max + _N_MAX_STEP + 1, _levels_up_to(p, n_max + _N_MAX_STEP + 1))):
-        assert _sorted(table, n_hi) == sorted(table, key=_energy_n_l)
+    longer = enumerate_levels(p._replace(n_max=n_max + _N_MAX_STEP + 1))
+    longer_energies = [lev.energy for lev in longer]
+    for n in (n_max, n_max + _N_MAX_STEP):
+        column = enumerate_levels(p._replace(n_max=n))
+        floor = energy(n + 1, n + 1, p)
+        assert longer_energies[len(column)] == floor
+        for energies in ([lev.energy for lev in column], longer_energies):
+            order, totals, complete = _cut(energies, floor, n, count_limit)
+            assert [longer[i] for i in order] == sorted(column, key=_energy_n_l)
+            assert totals == _old_truncated(sorted(column, key=_energy_n_l), count_limit)[1]
+            assert complete == _builds(p._replace(n_max=n), count_limit)
+    order, _, _ = _cut(longer_energies, math.inf, n_max + _N_MAX_STEP + 1, count_limit)
+    assert [longer[i] for i in order] == sorted(longer, key=_energy_n_l)
+
+
+def test_build_scheme_enumerates_the_levels_once_per_call(monkeypatch):
+    # perfbench's tracer wraps shells.enumerate_levels and divides by the
+    # levels it returns, on accepted schemes and on both error paths.
+    calls = []
+    monkeypatch.setattr(shells, "enumerate_levels",
+                        lambda p: calls.append(p) or enumerate_levels(p))
+    for p, count_limit in ((params(), 1520), (params(n_max=5), 1520),
+                           (params(tau=0.00138, n_max=19), 5452)):
+        del calls[:]
+        try:
+            build_scheme(p, count_limit)
+        except InsufficientNMaxError:
+            pass
+        assert calls == [p]
 
 
 @settings(deadline=None)
@@ -221,7 +269,7 @@ def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max,
         assert _fit_point(p, count_limit, gap) is None
         return
     k = len(scheme.levels)
-    prefix = _sorted(enumerate_levels(p), n_max)[:k + 2]
+    prefix = sorted(enumerate_levels(p), key=_energy_n_l)[:k + 2]
     assert prefix[:k] == list(scheme.levels)
     index = {(n, l): i for i, (n, l) in enumerate(zip(*_shape(n_max)[:2]))}
     energies = [lev.energy for lev in prefix]

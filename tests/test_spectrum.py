@@ -18,7 +18,6 @@ from qshell.spectrum import (
     _TOLERANCE,
     _drift_bounds,
     _energies_up_to,
-    _levels_up_to,
     _shape,
     _term_error,
 )
@@ -252,15 +251,19 @@ def test_enumerate_levels_is_bitwise_energy(tau, hw, n_max):
 
 @given(
     tau=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5),
+                  st.floats(min_value=6.0, max_value=9.0),
                   st.floats(min_value=200.0, max_value=400.0)),
     hw=st.one_of(st.floats(min_value=0.1, max_value=5.0),
                  st.floats(min_value=1e300, max_value=1e308)),
     n_hi=st.integers(min_value=1, max_value=40),
 )
 @example(tau=300.0, hw=1.0, n_hi=1)  # energy(2, 2) raises OverflowError
+@example(tau=8.096, hw=1.0, n_hi=1)  # shells 0..1 are accepted, a bound for 0..2 would refuse
 def test_next_shell_floor_is_bitwise_energy(tau, hw, n_hi):
     # build_scheme's completeness floor: energy() of level (n_hi + 1, n_hi + 1),
-    # with an OverflowError read as inf.
+    # with an OverflowError read as inf.  Between tau = 6 and 9 the column
+    # starts to refuse cancelling energies; energy() never refuses the
+    # floor of a column that was accepted.
     p = params(tau, hw, n_hi)
     try:
         _, floor = _energies_up_to(p, n_hi)
@@ -335,7 +338,7 @@ def test_table_levels_are_valid_levels(tau, n_hi):
     # The table builds its levels without Level.__new__; each must still
     # be a Level that Level's own check accepts unchanged.
     p = params(tau, n_max=n_hi)
-    for table in (enumerate_levels(p), _levels_up_to(p, n_hi), _levels_up_to(p, n_hi + 9)):
+    for table in (enumerate_levels(p), enumerate_levels(p._replace(n_max=n_hi + 9))):
         for lev in table:
             assert type(lev) is Level
             assert Level._make(lev) == lev
@@ -398,6 +401,13 @@ def test_accepted_energies_are_within_their_rounding_bound(tau, hw, n_hi):
             error = abs(value - exact)
             assert error <= _term_error(tau, n_hi) * hw * (shell + casimir), (n, l)
             assert error <= _TOLERANCE * exact, (n, l)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_energy_refuses_cancelling_terms(n):
+    # At tau = 20, E(1, 1) = 1 and E(2, 2) ~ 2.4e17 both evaluated to 0.0.
+    with pytest.raises(ValueError, match=rf"E\({n}, {n}\) cancel at tau=20\.0"):
+        energy(n, n, params(20.0))
 
 
 @settings(deadline=None, max_examples=60)
