@@ -15,8 +15,9 @@ _cut is the one place that sorts, cuts at the count limit and judges a
 scheme complete.  build_scheme is the reference path: it cuts the
 energies of its Level records and builds a validated LevelScheme.  A fit
 evaluates its taus through _fit_point instead, which cuts the energy
-column and returns the primary magic numbers, with the sorted prefix and
-the margin that let the fit carry them to nearby taus.  _required_n_max
+column of the shells its kept levels can reach and returns the primary
+magic numbers, with the sorted prefix and the differences that let the
+fit carry them to nearby taus.  _required_n_max
 cuts the prefixes of one longer column.
 """
 
@@ -173,35 +174,46 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     return LevelScheme(tuple(kept), tuple(totals), p)
 
 
-def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
+def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float, m: int):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
-    The list is read off the energy column through build_scheme's _cut.
+    The list is read off the energy column of shells 0..m through
+    build_scheme's _cut, m growing from the given value until every level
+    of shell m + 1 lies above the kept levels and the two above them, or
+    up to n_max.  Higher shells start higher still, so the sorted prefix,
+    the cut and the list are those of shells 0..n_max, and the column is
+    refused exactly where theirs is.
 
     Returns None where build_scheme would raise, else (primaries, cut,
-    margin).  cut is (k, prefix): the number k of kept levels, and the table
-    indices of the kept levels and the two above them in energy order.
-    margin is the smallest of the differences between adjacent prefix
-    levels, of |gap - primary_gap| over the k - 1 kept gaps, and of the
-    next-shell floor minus the top kept energy.  Checks no argument.
+    steps, margin, energies, floor, highest).  cut is (k, prefix): the
+    number k of kept levels, and the table indices of the kept levels and
+    the two above them in energy order.  steps are the adjacent prefix
+    differences, margin the floor E(n_max + 1, n_max + 1) minus the top
+    kept energy, energies the column cut (shells 0..m + 1, or 0..n_max),
+    and highest the prefix's highest shell, the m such a point needs.
+    Checks no argument.
     """
-    try:
-        energies, next_shell_floor = _energies_up_to(p, p.n_max)
-    except ValueError:
+    n_max = p.n_max
+    while True:
+        try:
+            energies, floor = _energies_up_to(p, n_max, min(m + 1, n_max))
+        except ValueError:
+            return None
+        lowest_above = min(energies[len(_shape(m)[0]):], default=floor)
+        order, totals, complete = _cut(energies, lowest_above, m, count_limit)
+        k = len(totals)
+        prefix = order[:k + 2]
+        if m == n_max or (len(prefix) == k + 2 and lowest_above > energies[prefix[-1]]):
+            break
+        m += 1
+    margin = floor - energies[prefix[k - 1]]
+    if not (complete and margin > 0):
         return None
-    order, totals, complete = _cut(energies, next_shell_floor, p.n_max, count_limit)
-    if not complete:
-        return None
-    k = len(totals)
-    prefix = order[:k + 2]
     ordered = [energies[i] for i in prefix]
     steps = [high - low for low, high in zip(ordered, ordered[1:])]
-    gaps = steps[:k - 1]
-    primaries = [count for gap, count in zip(gaps, totals) if gap > primary_gap]
-    margin = min(min(steps, default=math.inf),
-                 min((abs(gap - primary_gap) for gap in gaps), default=math.inf),
-                 next_shell_floor - ordered[k - 1])
-    return primaries, (k, tuple(prefix)), margin
+    primaries = [count for gap, count in zip(steps[:k - 1], totals) if gap > primary_gap]
+    highest = max(map(_shape(n_max)[0].__getitem__, prefix))
+    return primaries, (k, tuple(prefix)), steps, margin, energies, floor, highest
 
 
 def detect_shells(

@@ -124,17 +124,18 @@ def casimir_eigenvalue(l: int, d: DeformationParameter) -> float:
 def energy(n: int, l: int, p: ModelParameters) -> float:
     """Exact eigenvalue E(n, l), in hbar*omega0 units.
 
-    At tau = 0 this returns hbar_omega0 * n exactly, with no division.
-    Raises ValueError where the two terms cancel, as _energies_up_to does
-    for the column whose next-shell floor is shell n.
+    At tau = 0 this returns hbar_omega0 * n exactly, with no division, and
+    E(0, 0), whose two terms are 0, is 0 at every tau.  Raises ValueError
+    where the two terms cancel, as _energies_up_to does for the column
+    whose next-shell floor is shell n.
     """
     _check_branching(n, l)
     d = p.deformation
     tau = d.tau
-    if tau == 0.0:
+    if tau == 0.0 or n == 0:
         return p.hbar_omega0 * n
     q = math.exp(tau)
-    _check_rounding(tau, q, max(n - 1, 0), (n, l))
+    _check_rounding(tau, q, n - 1, (n, l))
     return p.hbar_omega0 * (
         q_bracket(n, d) * q ** (n + 1)
         - q * math.tanh(tau) * casimir_eigenvalue(l, d)
@@ -227,19 +228,22 @@ def _check_rounding(tau: float, q: float, n_hi: int, level=None) -> None:
         )
 
 
-def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
-    """energy(n, l, p) of each level of _shape(n_hi), and energy(n_hi+1, n_hi+1, p).
+def _energies_up_to(p: ModelParameters, n_hi: int,
+                    n_levels: int | None = None) -> tuple[list[float], float]:
+    """energy(n, l, p) of each level of _shape(n_levels), and energy(n_hi+1, n_hi+1, p).
 
-    Both bit for bit.  Raises ValueError when a level or the floor overflows
-    a float, and when cancellation could put an energy further than
-    _TOLERANCE of its value from the exact one.  The two terms of E(n, l)
+    Both bit for bit.  n_levels <= n_hi defaults to n_hi; a shorter column
+    is a prefix of the full one, and is refused exactly where the full one
+    is.  Raises ValueError when a level of shells 0..n_hi or the floor
+    overflows a float, and when cancellation could put an energy further
+    than _TOLERANCE of its value from the exact one.  The two terms of E(n, l)
     grow as e^(2 tau n) while E(n, n) = sinh(2 n tau) / sinh(2 tau), so
     that happens above tau of about 8 (E(1, 1) = 1 evaluates to 0.0 at
     tau = 20).
     """
     tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0
-    ns, ls, _, _ = _shape(n_hi)
+    ns, ls, _, _ = _shape(n_hi if n_levels is None else n_levels)
     if tau == 0.0:
         if not math.isfinite(hbar_omega0 * n_hi):
             raise _overflow(p, n_hi)
@@ -271,11 +275,13 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
 
 
 def _drift_bounds(n_max: int, hbar_omega0: float):
-    """A function of tau_hi giving (M, eps) for the levels of shells 0..n_max + 1.
+    """A function of tau_hi giving (S2, C2, eps) for the levels of shells 0..n_max + 1.
 
-    M bounds |d^2/dtau^2 (E(n, l) - E(n', l'))| over 0 <= tau <= tau_hi, and
-    eps bounds the rounding error of every energy _energies_up_to returns
-    at any tau in that range, the next-shell floor included.
+    Over 0 <= tau <= tau_hi, S2[n] bounds hbar_omega0 S_n'' and C2[l] the
+    bound on hbar_omega0 C_l'' below (n, l <= n_max + 1), so
+    |d^2/dtau^2 (E(n, l) - E(n', l'))| <= S2[max(n, n')] + C2[max(l, l')],
+    at most S2[-1] + C2[-1].  eps bounds the rounding error of every energy
+    _energies_up_to returns at any tau in that range, the floor included.
 
     E = hbar_omega0 (S_n - C_l), with S_n = [n] q^(n+1) = sum_{m=1..n} e^(2 m tau)
     and C_l = f [l][l+1], f = q tanh(tau).  [l][l+1] = P_l(tau) =
@@ -287,37 +293,37 @@ def _drift_bounds(n_max: int, hbar_omega0: float):
     - f = e^tau t (t = tanh tau), f' = e^tau (1 + t - t^2) <= 1.25 e^tau and
       f'' = e^tau (2 - t - 2t^2 + 2t^3), in [0, 2 e^tau]; so
       0 <= C_l'' = f'' P_l + 2 f' P_l' + f P_l'' <= 2 e^tau P_l + 2.5 e^tau P_l' + f P_l''.
-    Both second derivatives are non-negative, so the difference of two
-    levels' is at most the larger one's:
-        M = hbar_omega0 (S_L''(tau_hi) + C_L''-bound(tau_hi)),  L = n_max + 1.
-    eps is _term_error at tau_hi times hbar_omega0 (S_L + C_L), the largest
-    terms, both rising with tau.  The sums are of positive terms, and
-    their rounding is covered by a factor 1 + 1e-9.  Overflow gives inf.
-    The tables are O(n_max) and built once per call.
+    Both second derivatives are non-negative, so a difference of two S''
+    is at most the larger, and so of two C''.  S2 sums the terms of S'' at
+    tau_hi; P_l weighs its term i by l - i + 1, so C2 is a double prefix
+    sum.  eps is _term_error at tau_hi times hbar_omega0 (S_L + C_L),
+    L = n_max + 1, the largest terms, both rising with tau.  The sums are of
+    positive terms, and their rounding is covered by a factor 1 + 1e-9.
+    Overflow gives inf.
     """
     top = n_max + 1
     shells = range(1, top + 1)
     odd = [2 * i - 1 for i in shells]
     s2 = [4 * m * m for m in shells]
     p0 = [2 * (top - i + 1) for i in shells]
-    p1 = [a * k for a, k in zip(p0, odd)]
-    p2 = [a * k for a, k in zip(p1, odd)]
 
-    def bounds(tau_hi: float) -> tuple[float, float]:
+    def bounds(tau_hi: float) -> tuple[list[float], list[float], float]:
         try:
             x = math.exp(2 * tau_hi)
             powers = list(accumulate(repeat(x, top), operator.mul))  # e^(2 m tau)
             cosh = [math.cosh(k * tau_hi) for k in odd]
             sinh = [math.sinh(k * tau_hi) for k in odd]
         except OverflowError:
-            return math.inf, math.inf
+            return [math.inf] * (top + 1), [math.inf] * (top + 1), math.inf
         y = math.exp(tau_hi)
         f = y * math.tanh(tau_hi)
-        casimir_p = sum(map(operator.mul, p0, cosh))
-        m = (sum(map(operator.mul, s2, powers)) + 2 * y * casimir_p
-             + 2.5 * y * sum(map(operator.mul, p1, sinh)) + f * sum(map(operator.mul, p2, cosh)))
-        eps = _term_error(tau_hi, n_max) * (sum(powers) + f * casimir_p)
-        return hbar_omega0 * m * (1 + 1e-9), hbar_omega0 * eps * (1 + 1e-9)
+        scale = hbar_omega0 * (1 + 1e-9)
+        # Term i of 2 y P_l + 2.5 y P_l' + f P_l'', before the weight l - i + 1.
+        terms = [2 * c * (2 * y + f * k * k) + 5 * y * k * s for k, c, s in zip(odd, cosh, sinh)]
+        shell2 = [scale * s for s in accumulate(map(operator.mul, s2, powers), initial=0.0)]
+        casimir2 = [scale * c for c in accumulate(accumulate(terms), initial=0.0)]
+        eps = _term_error(tau_hi, n_max) * (sum(powers) + f * sum(map(operator.mul, p0, cosh)))
+        return shell2, casimir2, scale * eps
 
     return bounds
 

@@ -397,6 +397,18 @@ def test_energy_overflow_exits_1(argv, capsys):
     assert "overflow a float" in capsys.readouterr().err
 
 
+def test_fit_across_cancelling_energies_exits_1(capsys):
+    # Eight particles need only shells 0..2 sorted, and their column would
+    # pass up to tau ~ 8.5, but the energies of shells 0..24 cancel from
+    # tau = 7.6: the fit stops there, with build_scheme's error.
+    status, out = capture(parse_args(["fit", "--dataset", "martin", "--grid", "6.5:8.5:0.05",
+                                      "--count-limit", "8"]))
+    assert status == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "qshell: error: energies of shells 0..24 cancel at tau=7.6: their relative rounding "
+        "error may reach 1.04e-06, above the tolerance 1e-06\n")
+
+
 def test_malformed_dataset_exits_1(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("2\nbogus\n", encoding="utf-8")

@@ -3,7 +3,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qshell.empirics import (
     BUNDLED_DATASETS,
@@ -410,6 +410,9 @@ def _outcome(fn, *args):
     hbar_omega0=st.sampled_from([1.0, 0.5, 2.0]),
     n_max=st.integers(min_value=1, max_value=30),
 )
+# The energies overflow at tau = 1e200, and the span squared overflows a float.
+@example(grid=[0.03, 1e200], name="martin", slack=0, primary_gap=0.39, count_limit=1520,
+         hbar_omega0=1.0, n_max=24)
 def test_fit_tau_is_the_plain_reference_loop(grid, name, slack, primary_gap, count_limit,
                                              hbar_omega0, n_max):
     # Same trace, best point and errors; later points may raise
@@ -422,11 +425,12 @@ def test_fit_tau_is_the_plain_reference_loop(grid, name, slack, primary_gap, cou
 
 
 def _direct_trace(ds, grid, primary_gap, count_limit, slack=0, hbar_omega0=1.0, n_max=24):
-    # Every point read off the kernel, none carried over from a neighbour.
+    # Every point read off the kernel on all shells 0..n_max, none carried
+    # over from a neighbour.
     trace = []
     for tau in grid:
         params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
-        predicted, _, _ = _fit_point(params, count_limit, primary_gap)
+        predicted = _fit_point(params, count_limit, primary_gap, n_max)[0]
         trace.append((tau, match_magics(predicted, ds, slack=slack).f1))
     return tuple(trace)
 
@@ -434,10 +438,17 @@ def _direct_trace(ds, grid, primary_gap, count_limit, slack=0, hbar_omega0=1.0, 
 @st.composite
 def _sweep_grids(draw):
     # Uniform grids, often dense enough for the sweep to certify ranges, or
-    # sorted random points.
-    lo = draw(st.floats(min_value=1e-4, max_value=0.14))
-    hi = lo + draw(st.one_of(st.floats(min_value=0.0, max_value=0.003),
-                             st.floats(min_value=0.0, max_value=0.15 - lo)))
+    # sorted random points: below tau = 0.15; up to tau = 1, where levels of
+    # high shells reach the cut; or across tau = 7.4-7.9, where the energies
+    # of shells 0..n_max (40 to 8) start to cancel, while those of the few
+    # shells the kernel sorts for a small count limit do not yet.
+    bottom, top = draw(st.sampled_from([(1e-4, 0.15), (0.1, 1.0), (7.0, 8.5)]))
+    if top > 1:
+        lo, hi = draw(st.floats(min_value=7.0, max_value=7.4)), draw(st.floats(7.6, top))
+    else:
+        lo = draw(st.floats(min_value=bottom, max_value=top - 0.01))
+        hi = lo + draw(st.one_of(st.floats(min_value=0.0, max_value=top / 50),
+                                 st.floats(min_value=0.0, max_value=top - lo)))
     size = draw(st.integers(min_value=1, max_value=150))
     if draw(st.booleans()):
         step = (hi - lo) / size
@@ -455,23 +466,28 @@ def _sweep_grids(draw):
     fill=st.floats(min_value=0.0, max_value=1.0),
     hbar_omega0=st.sampled_from([1.0, 0.5, 1.7]),
     n_max=st.integers(min_value=8, max_value=40),
+    few=st.integers(min_value=2, max_value=40),
 )
-def test_sweep_trace_is_the_per_point_trace(grid, name, primary_gap, fill, hbar_omega0, n_max):
+def test_sweep_trace_is_the_per_point_trace(grid, name, primary_gap, fill, hbar_omega0, n_max,
+                                            few):
     # The certified sweep gives the trace, best point and error of evaluating
     # every point through predicted_primary_magics.  count_limit is a share
-    # of what shells 0..n_max hold, so later points may need a larger n_max.
+    # of what shells 0..n_max hold, so later points may need a larger n_max,
+    # or at large tau a few particles, which the lowest shells hold there.
     count_limit = max(2, round(fill * (n_max + 1) * (n_max + 2) * (n_max + 3) / 3))
+    if grid[0] > 1:
+        count_limit = few
     args = (load_named_dataset(name), grid, primary_gap, count_limit, 0, hbar_omega0, n_max)
     assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
 
 
 @pytest.mark.parametrize("grid, options, most_evaluated", [
-    ((0.02, 0.06, 1e-5), {}, 1000),
-    ((0.02, 0.06, 1e-5), {"n_max": 30, "count_limit": 3000}, 1600),
+    ((0.02, 0.06, 1e-5), {}, 450),
+    ((0.02, 0.06, 1e-5), {"n_max": 30, "count_limit": 3000}, 800),
     # Below tau = 0.01 the levels of a shell lie within ~tau l^2 of each
     # other, and the magic list changes every few points.
-    ((0.001, 0.12, 3e-5), {"n_max": 40}, 3500),
-    ((0.02, 0.06, 1e-5), {"primary_gap": 0.3}, 1000),
+    ((0.001, 0.12, 3e-5), {"n_max": 40}, 3100),
+    ((0.02, 0.06, 1e-5), {"primary_gap": 0.3}, 500),
 ], ids=["defaults", "n_max 30, count_limit 3000", "tau 0.001-0.12, n_max 40", "gap 0.3"])
 def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_evaluated, monkeypatch):
     lo, hi, step = grid
@@ -483,8 +499,25 @@ def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_evaluated,
     monkeypatch.setattr(empirics, "_fit_point", lambda *a: evaluated.append(a) or kernel(*a))
     result = fit_tau(ds, taus, **kwargs)
     assert result.grid == _direct_trace(ds, taus, **kwargs)
-    # Each point at most once, and many not at all (749 of 4001 at the defaults).
+    # Each point at most once, and many not at all (383 of 4001 at the defaults).
     assert len({a[0].deformation.tau for a in evaluated}) == len(evaluated) <= most_evaluated
+
+
+@pytest.mark.parametrize("hi", [3.51, 3.52, 3.54])
+def test_sweep_certifies_nothing_where_the_curvature_bounds_overflow(hi, monkeypatch):
+    # At n_max 100 the bound tables overflow from tau = 3.51 (at 3.52 so does
+    # the rounding bound, and at 3.54 cosh raises), below the energies of
+    # shells 0..100 (from 3.527).
+    # Eight particles keep one magic list all the way, but no range is
+    # carried: every point is evaluated, and the trace and error are the
+    # reference path's.
+    taus = [round(3.49 + i * (hi - 3.49) / 40, 10) for i in range(41)]
+    args = (load_named_dataset("martin"), taus, 0.39, 8, 0, 1.0, 100)
+    evaluated = []
+    kernel = empirics._fit_point
+    monkeypatch.setattr(empirics, "_fit_point", lambda *a: evaluated.append(a) or kernel(*a))
+    assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
+    assert len(evaluated) == len(taus)
 
 
 @pytest.mark.parametrize("grid, primary_gap", [

@@ -225,9 +225,9 @@ def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit
         assert predicted_primary_magics(tau, g, count_limit, 1.0, scheme.params.n_max) == expected
 
 
-def _primaries(p, count_limit, gap):
+def _primaries(p, count_limit, gap, start=0):
     # The fit kernel's primary list, or None where it cannot finish.
-    point = _fit_point(p, count_limit, gap)
+    point = _fit_point(p, count_limit, gap, min(start, p.n_max))
     return point and point[0]
 
 
@@ -237,50 +237,62 @@ def _primaries(p, count_limit, gap):
                     st.floats(min_value=1e300, max_value=1e308)),
        n_max=st.integers(min_value=1, max_value=40),
        count_limit=st.integers(min_value=2, max_value=3000),
-       gap=st.floats(min_value=0.0, max_value=2.0))
-@example(tau=300.0, hw=1.0, n_max=1, count_limit=2, gap=0.39)  # the floor overflows
-def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap):
+       gap=st.floats(min_value=0.0, max_value=2.0),
+       start=st.integers(min_value=0, max_value=40))
+@example(tau=300.0, hw=1.0, n_max=1, count_limit=2, gap=0.39, start=0)  # the floor overflows
+def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap, start):
     # The fit's kernel gives predicted_primary_magics' list, and None
-    # exactly where build_scheme raises.  At tau = 200 the energy formula
-    # cancels, and both refuse the energies.
+    # exactly where build_scheme raises, from any shell bound it starts at.
+    # At tau = 200 the energy formula cancels, and both refuse the energies.
     p = params(tau=tau, hw=hw, n_max=n_max)
     try:
         build_scheme(p, count_limit)
     except (InsufficientNMaxError, ValueError):
-        assert _primaries(p, count_limit, gap) is None
+        assert _primaries(p, count_limit, gap, start) is None
         return
-    assert _primaries(p, count_limit, gap) == \
+    assert _primaries(p, count_limit, gap, start) == \
         predicted_primary_magics(tau, gap, count_limit, hw, n_max)
 
 
 @settings(deadline=None)
 @given(tau=taus, n_max=st.integers(min_value=1, max_value=40),
        count_limit=st.integers(min_value=2, max_value=3000),
-       gap=st.floats(min_value=0.0, max_value=2.0))
+       gap=st.floats(min_value=0.0, max_value=2.0),
+       start=st.integers(min_value=0, max_value=40))
 def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max, count_limit,
-                                                                    gap):
+                                                                    gap, start):
     # The cut is the kept count and the kept levels plus the two above them
-    # in energy order; the margin is the least of their adjacent differences,
-    # of |gap - primary_gap| over the kept gaps, and of floor - top kept.
+    # in energy order, the steps their adjacent differences and the margin
+    # floor - top kept, whatever shell bound the kernel starts at.  The
+    # column it cuts is a prefix of shells 0..n_max's that holds the shell
+    # above the start and above the prefix's highest shell, unless n_max ends it.
     p = params(tau=tau, n_max=n_max)
+    start = min(start, n_max)
     try:
         scheme = build_scheme(p, count_limit)
     except InsufficientNMaxError:
-        assert _fit_point(p, count_limit, gap) is None
+        assert _fit_point(p, count_limit, gap, start) is None
         return
     k = len(scheme.levels)
-    prefix = sorted(enumerate_levels(p), key=_energy_n_l)[:k + 2]
+    levels = enumerate_levels(p)
+    prefix = sorted(levels, key=_energy_n_l)[:k + 2]
     assert prefix[:k] == list(scheme.levels)
     index = {(n, l): i for i, (n, l) in enumerate(zip(*_shape(n_max)[:2]))}
     energies = [lev.energy for lev in prefix]
     steps = [b - a for a, b in zip(energies, energies[1:])]
-    margin = min(steps + [abs(g - gap) for g in steps[:k - 1]]
-                 + [energy(n_max + 1, n_max + 1, p) - energies[k - 1]])
-    assert _fit_point(p, count_limit, gap) == (
+    floor = energy(n_max + 1, n_max + 1, p)
+    point = _fit_point(p, count_limit, gap, start)
+    assert point[:4] + point[5:6] == (
         predicted_primary_magics(tau, gap, count_limit, 1.0, n_max),
         (k, tuple(index[lev.n, lev.l] for lev in prefix)),
-        margin,
+        steps,
+        floor - energies[k - 1],
+        floor,
     )
+    column, highest = point[4], point[6]
+    assert highest == max(lev.n for lev in prefix)
+    assert column == [lev.energy for lev in levels[:len(column)]]
+    assert len(column) >= len(_shape(min(max(start, highest) + 1, n_max))[0])
 
 
 @pytest.mark.parametrize("tau, n_max, count_limit, message", [
@@ -295,7 +307,7 @@ def test_cancelling_energies_are_an_error(tau, n_max, count_limit, message):
     for limit in (count_limit, 1520):
         with pytest.raises(ValueError, match=re.escape(message)):
             build_scheme(p, limit)
-        assert _fit_point(p, limit, 0.39) is None
+        assert _fit_point(p, limit, 0.39, 0) is None
 
 
 def test_underfilled_scheme_raises():

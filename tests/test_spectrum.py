@@ -410,6 +410,28 @@ def test_energy_refuses_cancelling_terms(n):
         energy(n, n, params(20.0))
 
 
+@pytest.mark.parametrize("tau", [8.2, 9.0, 20.0, 1000.0])
+def test_energy_of_the_lowest_level_is_zero_at_every_tau(tau):
+    # Both terms of E(0, 0) are exactly 0, so nothing cancels; at tau = 1000
+    # even q = e^tau would overflow.
+    assert energy(0, 0, params(tau)) == 0.0
+    assert energy(0, 0, params(tau, hw=1e300)) == 0.0
+
+
+def _global_curvature_bound(n_max, hw, tau):
+    # One bound for every pair of levels of shells 0..n_max + 1, term by
+    # term: the top shell's S'' and the bound on the top l's C''.
+    top = n_max + 1
+    y, f = math.exp(tau), math.exp(tau) * math.tanh(tau)
+    total = 0.0
+    for i in range(1, top + 1):
+        k, weight = 2 * i - 1, 2 * (top - i + 1)
+        total += 4 * i * i * math.exp(2 * i * tau) + weight * (
+            2 * y * math.cosh(k * tau) + 2.5 * y * k * math.sinh(k * tau)
+            + f * k * k * math.cosh(k * tau))
+    return hw * total * (1 + 1e-9)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     tau_hi=st.floats(min_value=1e-3, max_value=1.0),
@@ -420,10 +442,15 @@ def test_energy_refuses_cancelling_terms(n):
     second=st.integers(min_value=0),
 )
 def test_drift_bounds_hold(tau_hi, share, n_max, hw, first, second):
-    # M bounds the second derivative of every level, and of every difference
-    # of two levels, of shells 0..n_max + 1 at any tau <= tau_hi; eps bounds
-    # the rounding of those levels there.
-    m, eps = _drift_bounds(n_max, hw)(tau_hi)
+    # S2[max n] + C2[max l] bounds the second derivative of the difference
+    # of two levels of shells 0..n_max + 1 at any tau <= tau_hi, and the top
+    # entries, the one bound of every pair, bound every level and every
+    # difference; eps bounds the rounding of those levels there.
+    shell2, casimir2, eps = _drift_bounds(n_max, hw)(tau_hi)
+    m = shell2[-1] + casimir2[-1]
+    assert m == pytest.approx(_global_curvature_bound(n_max, hw, tau_hi), rel=1e-12, abs=0)
+    assert len(shell2) == len(casimir2) == n_max + 2
+    assert shell2 == sorted(shell2) and casimir2 == sorted(casimir2)
     tau = tau_hi * share
     ns, ls, _, _ = _shape(n_max + 1)
     a, b = first % len(ns), second % len(ns)
@@ -434,7 +461,9 @@ def test_drift_bounds_hold(tau_hi, share, n_max, hw, first, second):
         t = mpmath.mpf(tau)
         curvature_a = mpmath.diff(level(a), t, 2)
         curvature_b = mpmath.diff(level(b), t, 2)
-        assert abs(curvature_a) <= m and abs(curvature_a - curvature_b) <= m
+        pair = shell2[max(ns[a], ns[b])] + casimir2[max(ls[a], ls[b])]
+        assert abs(curvature_a) <= shell2[ns[a]] + casimir2[ls[a]] <= m
+        assert abs(curvature_a - curvature_b) <= pair <= m
         energies, floor = _energies_up_to(params(tau, hw, n_max), n_max)
         # Shells 0..n_max keep their table index; shell n_max + 1 is the floor.
         for i in (a, b):
