@@ -51,7 +51,7 @@ MAX_COUNT_LIMIT = 1_000_000
 # 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
 # microseconds per level, so this bounds a fit to a few seconds; the
 # 4001-point fine grid at the defaults is 676169.  The fit's sweep skips
-# most points of a fine grid (it evaluates 383 of those 4001), but where
+# most points of a fine grid (it evaluates 371 of those 4001), but where
 # the levels cross every few points it evaluates every one, so the cap
 # stays on the number of points.
 MAX_FIT_LEVELS = 10_000_000

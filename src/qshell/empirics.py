@@ -10,17 +10,19 @@ through predicted_primary_magics.  It reads the other points off a
 bisection of the grid that evaluates the record-free kernel of shells at
 the ends of each index range, and gives the whole range the ends' list
 where bounds on the second derivatives of the level differences show
-that no level order, gap threshold or cut can change inside; a range that
-fails splits where the chord of a changing difference crosses zero.  The
-fine fit over 0.02:0.06:0.00001 evaluates 383 of its 4001 points.  It
-matches each distinct magic list once.
+that no level order, gap threshold or cut can change inside, and else
+splits it where the chord of a changing difference crosses zero (the fine
+fit over 0.02:0.06:0.00001 evaluates 371 of its 4001 points).  It matches
+each distinct magic list once.
 """
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import repeat
-from operator import itemgetter, sub
+from functools import lru_cache
+from itertools import compress, islice, repeat
+from operator import gt, itemgetter, ne, sub
 from pathlib import Path
 
 from .qmath import DeformationParameter
@@ -280,7 +282,7 @@ def fit_tau(
     The objective (f1 of the matching) is a step function of tau,
     so derivative-free search over an explicit grid is the right tool.
     Ties keep the smallest tau.  The trace equals evaluating every grid
-    point, but _sweep evaluates only some of them (383 of the 4001 points
+    point, but _sweep evaluates only some of them (371 of the 4001 points
     of 0.02:0.06:0.00001 at the defaults).
     """
     grid = [float(t) for t in tau_grid]
@@ -309,35 +311,51 @@ def fit_tau(
     return FitResult(tau_best, score_best, tuple(trace))
 
 
+def _width(point, primary_gap, tables, bounds) -> float:
+    """min_q (|q| - 5 eps) / B_q over the quantities q of a FitPoint, for tables (S2, C2, eps).
+
+    q: the adjacent prefix spacings, the kept gaps minus primary_gap and the
+    floor margin.  B_q: S2[max n] + C2[max l] of q's pair of levels, but the
+    top entries for the margin and the spacing above the first level past the
+    cut, which stands for it against any level outside the prefix.  bounds
+    caches B_q by cut.
+    """
+    shell2, casimir2, eps = tables
+    (k, prefix), steps = point.cut, point.steps
+    bound = bounds.get(point.cut)
+    if bound is None:
+        top = shell2[-1] + casimir2[-1]
+        ns, ls, _, _ = _shape(len(shell2) - 2)
+        bound = bounds[point.cut] = [
+            top if t == k else shell2[max(ns[a], ns[b])] + casimir2[max(ls[a], ls[b])]
+            for t, (a, b) in enumerate(zip(prefix, prefix[1:]))] + [top]
+    # A kept gap below primary_gap / 2 is nearer 0 than primary_gap.
+    return min([(v - 5 * eps) / b for v, b in zip([*steps, point.margin], bound)]
+               + [(abs(v - primary_gap) - 5 * eps) / b
+                  for v, b in zip(steps[:k - 1], bound) if v > primary_gap / 2])
+
+
 def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     """The primary list of each grid point, or None where the kernel cannot finish.
 
-    Bisects grid index ranges [i, j], each point evaluated at most once by
-    shells._fit_point, whose column starts from the shells the last point
-    needed (all of them at the first).  A point's quantities q are its
-    adjacent prefix spacings, its kept gaps minus primary_gap and its floor
-    minus top kept.  B_q bounds the second derivative of q up to the grid's
-    largest tau: S2[max n] + C2[max l] of its pair of levels
-    (spectrum._drift_bounds), but the top entries for the floor and for the
-    spacing above the first level past the cut, which stands for that level
-    against any level outside the prefix.  The point's width is
-    min_q (|q| - 5 eps) / B_q.  Every point of [i, j] takes the list at i
-    when both ends have the same list and cut (kept count and sorted
-    prefix) and h^2 / 8 is below both widths, h = tau_j - tau_i: no
-    quantity changes sign inside, as its exact value departs from its chord
-    by at most B_q h^2 / 8, the ends and the point inside round by at most
-    2 eps each, and the fifth eps covers the rounding of q and the width.
-    Otherwise the range splits where the chord of a spacing or kept gap of
-    the end with the shorter column, taken on both columns, crosses zero
-    nearest its middle, else at the middle: the worst case evaluates every
-    point, as a plain loop would.
+    Bisects grid index ranges [i, j], evaluating each point once at most
+    with shells._fit_point, from the shells the last point needed.  [i, j]
+    takes the list at i when its ends share list and cut and h^2 / 8 (h =
+    tau_j - tau_i) is below their _width for tables at a tau >= tau_j, the
+    top of tau_j's rung of the grid, over which they grow about twofold: no
+    quantity q changes sign inside, as it departs from its chord by at most
+    B_q h^2 / 8, the ends and the point inside round by 2 eps at most each,
+    and the fifth eps covers the rounding of q and the width.  Otherwise the
+    range splits where the chord of a changing spacing or kept gap crosses
+    zero, else at its middle: at worst every point is evaluated.
     """
-    shell2, casimir2, eps = _drift_bounds(n_max, hbar_omega0)(grid[-1])
-    top = shell2[-1] + casimir2[-1]
-    ns, ls, _, _ = _shape(n_max)
-    points, widths = {}, {}  # grid index -> _fit_point's result or None; -> its width
-    bounds = {}  # cut -> B_q of each spacing, then of the floor
-    shells = n_max
+    bounds_at = _drift_bounds(n_max, hbar_omega0)
+    ends, rise = [-1], math.log(2) / (2 * n_max + 2)  # the last grid index of each rung
+    while ends[-1] < len(grid) - 1:
+        ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise) - 1, ends[-1] + 1))
+    points, shells = {}, n_max  # grid index -> FitPoint or None; the last point's shells
+    rung_tables = lru_cache(None)(lambda rung: (bounds_at(grid[ends[rung]]), {}))  # and B_q by cut
+    width = lru_cache(None)(lambda i, rung: _width(points[i], primary_gap, *rung_tables(rung)))
 
     def point(i):
         nonlocal shells
@@ -348,54 +366,38 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             except ValueError:  # a non-finite tau; the reference path reports it
                 return None
             points[i] = _fit_point(params, count_limit, primary_gap, shells)
-            shells = points[i][6] if points[i] else shells
+            shells = points[i].highest if points[i] else shells
         return points[i]
-
-    def width(i):
-        if i not in widths:
-            _, cut, steps, margin, _, _, _ = points[i]
-            k, prefix = cut
-            if cut not in bounds:
-                bound = bounds[cut] = [shell2[max(ns[a], ns[b])] + casimir2[max(ls[a], ls[b])]
-                                       for a, b in zip(prefix, prefix[1:])] + [top]
-                if k < len(steps):
-                    bound[k] = top
-            bound = bounds[cut]
-            # A kept gap below primary_gap / 2 is nearer 0 than primary_gap.
-            widths[i] = min([(v - 5 * eps) / b for v, b in zip([*steps, margin], bound)]
-                            + [(abs(v - primary_gap) - 5 * eps) / b
-                               for v, b in zip(steps[:k - 1], bound) if v > primary_gap / 2])
-        return widths[i]
 
     def split(i, j, low, high):
         roots = []
-        if j - i > 2 and low and high and low[:2] != high[:2]:
-            near, far = (low, high) if len(low[4]) <= len(high[4]) else (high, low)
-            (k, prefix), steps, energies = near[1], near[2], far[4]
-            ordered = list(map(energies.__getitem__, prefix))
-            there = list(map(sub, ordered[1:], ordered))
-            # Where the chords of the spacings, and of the kept gaps minus
-            # primary_gap, cross zero, as a share of the way from near to far.
-            roots = [(u - c) / (u - v) for c, here in ((0.0, steps), (primary_gap, steps[:k - 1]))
-                     for u, v in zip(here, there) if (u > c) != (v > c)]
-            if near is high:
-                roots = [1 - r for r in roots]
+        if j - i > 2 and low and high:
+            near, far = (low, high) if len(low.energies) <= len(high.energies) else (high, low)
+            (k, prefix), steps, level = near.cut, near.steps, far.energies.__getitem__
+            # Where, near to far, the chords of the lowest changing spacing (if the cuts
+            # differ) and kept gap - primary_gap (if the lists differ) cross zero.
+            for c, scanned in ((0.0, len(steps) if low.cut != high.cut else 0),
+                               (primary_gap, k - 1 if low.primaries != high.primaries else 0)):
+                there = map(sub, map(level, islice(prefix, 1, None)), map(level, prefix))
+                flips = map(ne, map(gt, steps, repeat(c)), map(gt, there, repeat(c)))
+                for t in islice(compress(range(scanned), flips), 1):
+                    u, v = steps[t] - c, level(prefix[t + 1]) - level(prefix[t]) - c
+                    roots.append(u / (u - v) if near is low else v / (v - u))
         r = min(roots, key=lambda r: abs(r - 0.5), default=0.5)
         return min(max(i + round(r * (j - i)), i + 1), j - 1)
 
-    lists = [None] * len(grid)
-    stack = [(0, len(grid) - 1)]
+    lists, stack = [None] * len(grid), [(0, len(grid) - 1)]
     while stack:
         i, j = stack.pop()
         low, high = point(i), point(j)
-        h = grid[j] - grid[i]  # squared by a product, which overflows to inf
-        # The floor margins, part of each width, first: they are at hand.
-        if j - i > 1 and not (low and high and low[:2] == high[:2]
-                              and h * h / 8 * top + 5 * eps < min(low[3], high[3])
-                              and h * h / 8 < min(width(i), width(j))):
-            middle = split(i, j, low, high)
-            stack += (middle, j), (i, middle)
-            continue
-        lists[i:j] = repeat(low and tuple(low[0]), j - i)
-        lists[j] = high and tuple(high[0])
+        if j - i > 1:
+            h = grid[j] - grid[i]  # squared by a product, which overflows to inf
+            rung = bisect_left(ends, j)
+            if not (low and high and low[:2] == high[:2]  # the same list and cut
+                    and h * h / 8 < width(i, rung) and h * h / 8 < width(j, rung)):
+                middle = split(i, j, low, high)
+                stack += (middle, j), (i, middle)
+                continue
+        lists[i:j] = repeat(low and tuple(low.primaries), j - i)
+        lists[j] = high and tuple(high.primaries)
     return lists

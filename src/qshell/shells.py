@@ -17,8 +17,8 @@ energies of its Level records and builds a validated LevelScheme.  A fit
 evaluates its taus through _fit_point instead, which cuts the energy
 column of the shells its kept levels can reach and returns the primary
 magic numbers, with the sorted prefix and the differences that let the
-fit carry them to nearby taus.  _required_n_max
-cuts the prefixes of one longer column.
+fit carry them to nearby taus.  _required_n_max cuts the prefixes of one
+longer column.
 """
 
 import math
@@ -26,7 +26,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import partial
 from itertools import accumulate, takewhile
-from operator import ge
+from operator import ge, sub
 
 from .spectrum import Level, ModelParameters, _energies_up_to, _shape, energy, enumerate_levels
 
@@ -97,6 +97,8 @@ class LevelScheme(namedtuple("LevelScheme", "levels cumulative params")):
     def _make(cls, iterable):
         return cls(*iterable)
 
+
+FitPoint = namedtuple("FitPoint", "primaries cut steps margin energies highest")
 
 # Shells added per step when searching for the n_max to suggest.
 _N_MAX_STEP = 8
@@ -177,21 +179,18 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
 def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float, m: int):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
-    The list is read off the energy column of shells 0..m through
-    build_scheme's _cut, m growing from the given value until every level
-    of shell m + 1 lies above the kept levels and the two above them, or
-    up to n_max.  Higher shells start higher still, so the sorted prefix,
-    the cut and the list are those of shells 0..n_max, and the column is
-    refused exactly where theirs is.
+    The list is read off the energy column of shells 0..m through _cut, m
+    growing from the given value until every level of shell m + 1 lies
+    above the kept levels and the two above them, or up to n_max.  Higher
+    shells start higher still, so the prefix, cut and list are those of
+    shells 0..n_max, and the column is refused exactly where theirs is.
 
-    Returns None where build_scheme would raise, else (primaries, cut,
-    steps, margin, energies, floor, highest).  cut is (k, prefix): the
-    number k of kept levels, and the table indices of the kept levels and
-    the two above them in energy order.  steps are the adjacent prefix
-    differences, margin the floor E(n_max + 1, n_max + 1) minus the top
-    kept energy, energies the column cut (shells 0..m + 1, or 0..n_max),
-    and highest the prefix's highest shell, the m such a point needs.
-    Checks no argument.
+    Returns None where build_scheme would raise, else a FitPoint: cut is
+    (k, prefix), the kept count and the table indices of the kept levels
+    and the two above them in energy order; steps the adjacent prefix
+    differences; margin the floor E(n_max + 1, n_max + 1) minus the top
+    kept energy; energies the column cut (shells 0..m + 1, or 0..n_max);
+    highest the prefix's highest shell.  Checks no argument.
     """
     n_max = p.n_max
     while True:
@@ -209,11 +208,12 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float, m: int)
     margin = floor - energies[prefix[k - 1]]
     if not (complete and margin > 0):
         return None
-    ordered = [energies[i] for i in prefix]
-    steps = [high - low for low, high in zip(ordered, ordered[1:])]
+    ordered = list(map(energies.__getitem__, prefix))
+    steps = list(map(sub, ordered[1:], ordered))
     primaries = [count for gap, count in zip(steps[:k - 1], totals) if gap > primary_gap]
-    highest = max(map(_shape(n_max)[0].__getitem__, prefix))
-    return primaries, (k, tuple(prefix)), steps, margin, energies, floor, highest
+    # The column runs in ascending n, so its largest index has the highest shell.
+    highest = _shape(n_max)[0][max(prefix)]
+    return FitPoint(primaries, (k, tuple(prefix)), steps, margin, energies, highest)
 
 
 def detect_shells(

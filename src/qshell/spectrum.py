@@ -232,14 +232,13 @@ def _energies_up_to(p: ModelParameters, n_hi: int,
                     n_levels: int | None = None) -> tuple[list[float], float]:
     """energy(n, l, p) of each level of _shape(n_levels), and energy(n_hi+1, n_hi+1, p).
 
-    Both bit for bit.  n_levels <= n_hi defaults to n_hi; a shorter column
-    is a prefix of the full one, and is refused exactly where the full one
-    is.  Raises ValueError when a level of shells 0..n_hi or the floor
-    overflows a float, and when cancellation could put an energy further
-    than _TOLERANCE of its value from the exact one.  The two terms of E(n, l)
-    grow as e^(2 tau n) while E(n, n) = sinh(2 n tau) / sinh(2 tau), so
-    that happens above tau of about 8 (E(1, 1) = 1 evaluates to 0.0 at
-    tau = 20).
+    Both bit for bit; n_levels <= n_hi defaults to n_hi, and a shorter
+    column is refused exactly where the full one is.  Raises ValueError
+    when a level of shells 0..n_hi or the floor overflows a float, and when
+    cancellation could put an energy further than _TOLERANCE of its value
+    from the exact one: the two terms of E(n, l) grow as e^(2 tau n) while
+    E(n, n) = sinh(2 n tau) / sinh(2 tau), so above tau of about 8 (E(1, 1)
+    = 1 evaluates to 0.0 at tau = 20).
     """
     tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0

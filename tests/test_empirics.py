@@ -22,7 +22,7 @@ from qshell.empirics import (
 from qshell import empirics
 from qshell.qmath import DeformationParameter
 from qshell.shells import InsufficientNMaxError, _fit_point, build_scheme
-from qshell.spectrum import ModelParameters
+from qshell.spectrum import ModelParameters, _drift_bounds, energy, enumerate_levels
 
 MARTIN = [
     (2, 0, False), (8, 0, False), (18, 0, True), (20, 0, False), (34, 0, False),
@@ -430,7 +430,7 @@ def _direct_trace(ds, grid, primary_gap, count_limit, slack=0, hbar_omega0=1.0, 
     trace = []
     for tau in grid:
         params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
-        predicted = _fit_point(params, count_limit, primary_gap, n_max)[0]
+        predicted = _fit_point(params, count_limit, primary_gap, n_max).primaries
         trace.append((tau, match_magics(predicted, ds, slack=slack).f1))
     return tuple(trace)
 
@@ -499,8 +499,94 @@ def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_evaluated,
     monkeypatch.setattr(empirics, "_fit_point", lambda *a: evaluated.append(a) or kernel(*a))
     result = fit_tau(ds, taus, **kwargs)
     assert result.grid == _direct_trace(ds, taus, **kwargs)
-    # Each point at most once, and many not at all (383 of 4001 at the defaults).
+    # Each point at most once, and many not at all (371 of 4001 at the defaults).
     assert len({a[0].deformation.tau for a in evaluated}) == len(evaluated) <= most_evaluated
+
+
+@settings(deadline=None)
+@given(tau=st.floats(min_value=1e-4, max_value=1.0), rise=st.floats(min_value=0.0, max_value=0.5),
+       n_max=st.integers(min_value=1, max_value=40),
+       count_limit=st.integers(min_value=2, max_value=3000),
+       primary_gap=st.floats(min_value=0.0, max_value=2.0),
+       scales=st.none() | st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=84,
+                                   max_size=84))
+# Just past crossings of kept levels, where the least quantity is a kept
+# spacing below primary_gap / 2, and the spacing from the top kept level
+# to the first one past the cut.
+@example(tau=0.020163850917686185, rise=0.0, n_max=24, count_limit=1520, primary_gap=0.39,
+         scales=None)
+@example(tau=0.027243316748560724, rise=0.0, n_max=24, count_limit=1520, primary_gap=0.39,
+         scales=None)
+def test_width_is_the_least_quantity_over_its_pair_bound(tau, rise, n_max, count_limit,
+                                                         primary_gap, scales):
+    # Every adjacent spacing of the kept levels and the two above them, every
+    # kept gap's distance from primary_gap and the floor margin, less 5 eps,
+    # over the bound of its pair of levels: the top one for the floor margin
+    # and for the spacing above the first level past the cut.  The tables
+    # are _drift_bounds' above tau, or any rising ones, under which the top
+    # entries bind less often and the kept spacings more.
+    p = ModelParameters(DeformationParameter(tau), 1.0, n_max)
+    try:
+        k = len(build_scheme(p, count_limit).levels)
+    except InsufficientNMaxError:
+        return
+    prefix = sorted(enumerate_levels(p), key=lambda lev: (lev.energy, lev.n, lev.l))[:k + 2]
+    if scales is None:
+        tables = _drift_bounds(n_max, 1.0)(tau + rise)
+    else:
+        tables = sorted(scales[:n_max + 2]), sorted(scales[42:n_max + 44]), 1e-12
+    shell2, casimir2, eps = tables
+    top = shell2[-1] + casimir2[-1]
+    quantities = [(energy(n_max + 1, n_max + 1, p) - prefix[k - 1].energy, top)]
+    for t, (a, b) in enumerate(zip(prefix, prefix[1:])):
+        pair = top if t == k else shell2[max(a.n, b.n)] + casimir2[max(a.l, b.l)]
+        quantities.append((b.energy - a.energy, pair))
+        if t < k - 1:
+            quantities.append((abs(b.energy - a.energy - primary_gap), pair))
+    expected = min((q - 5 * eps) / bound for q, bound in quantities)
+    point = _fit_point(p, count_limit, primary_gap, n_max)
+    bounds = {}
+    assert empirics._width(point, primary_gap, tables, bounds) == expected
+    assert empirics._width(point, primary_gap, tables, bounds) == expected  # off the cache
+
+
+def test_every_carried_range_is_certified_by_both_ends(monkeypatch):
+    # Two evaluated grid points with unevaluated ones between them bound a
+    # range the sweep carried: they share list and cut, and h^2 / 8 is below
+    # both their widths under one set of tables taken at or above the right
+    # end.  The grid spans a ~4e5-fold rise of the top bound, so tables of
+    # several taus are used.
+    taus = [round(0.02 + i * 1e-4, 10) for i in range(2801)]
+    index = {tau: i for i, tau in enumerate(taus)}
+    evaluated, tau_of, widths = {}, {}, {}  # tau -> FitPoint; id -> tau; (tau, tau_hi) -> width
+    kernel, width, bounds_at = empirics._fit_point, empirics._width, empirics._drift_bounds
+
+    def fit_point(p, *args):
+        point = evaluated[p.deformation.tau] = kernel(p, *args)
+        tau_of[id(point)] = p.deformation.tau
+        return point
+
+    def drift_bounds(*args):
+        return lambda tau_hi: (*bounds_at(*args)(tau_hi), tau_hi)
+
+    def spy_width(point, primary_gap, tables, bounds):
+        value = width(point, primary_gap, tables[:3], bounds)
+        widths[tau_of[id(point)], tables[3]] = value
+        return value
+
+    monkeypatch.setattr(empirics, "_fit_point", fit_point)
+    monkeypatch.setattr(empirics, "_drift_bounds", drift_bounds)
+    monkeypatch.setattr(empirics, "_width", spy_width)
+    empirics._sweep(taus, 0.39, 1520, 1.0, 24)
+    done = sorted(evaluated)
+    carried = [(a, b) for a, b in zip(done, done[1:]) if index[b] - index[a] > 1]
+    assert len(carried) > 100
+    for a, b in carried:
+        assert evaluated[a][:2] == evaluated[b][:2]
+        drift = (b - a) * (b - a) / 8
+        assert any(tau_hi >= b and drift < w and drift < widths.get((b, tau_hi), -math.inf)
+                   for (tau, tau_hi), w in widths.items() if tau == a)
+    assert len({tau_hi for _, tau_hi in widths}) > 10
 
 
 @pytest.mark.parametrize("hi", [3.51, 3.52, 3.54])

@@ -228,7 +228,7 @@ def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit
 def _primaries(p, count_limit, gap, start=0):
     # The fit kernel's primary list, or None where it cannot finish.
     point = _fit_point(p, count_limit, gap, min(start, p.n_max))
-    return point and point[0]
+    return point and point.primaries
 
 
 @settings(deadline=None)
@@ -280,19 +280,16 @@ def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max,
     index = {(n, l): i for i, (n, l) in enumerate(zip(*_shape(n_max)[:2]))}
     energies = [lev.energy for lev in prefix]
     steps = [b - a for a, b in zip(energies, energies[1:])]
-    floor = energy(n_max + 1, n_max + 1, p)
     point = _fit_point(p, count_limit, gap, start)
-    assert point[:4] + point[5:6] == (
+    assert point[:4] == (
         predicted_primary_magics(tau, gap, count_limit, 1.0, n_max),
         (k, tuple(index[lev.n, lev.l] for lev in prefix)),
         steps,
-        floor - energies[k - 1],
-        floor,
+        energy(n_max + 1, n_max + 1, p) - energies[k - 1],
     )
-    column, highest = point[4], point[6]
-    assert highest == max(lev.n for lev in prefix)
-    assert column == [lev.energy for lev in levels[:len(column)]]
-    assert len(column) >= len(_shape(min(max(start, highest) + 1, n_max))[0])
+    assert point.highest == max(lev.n for lev in prefix)
+    assert point.energies == [lev.energy for lev in levels[:len(point.energies)]]
+    assert len(point.energies) >= len(_shape(min(max(start, point.highest) + 1, n_max))[0])
 
 
 @pytest.mark.parametrize("tau, n_max, count_limit, message", [
