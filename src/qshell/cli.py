@@ -6,9 +6,7 @@ configuration is byte-identical across runs.
 """
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -50,10 +48,9 @@ MAX_COUNT_LIMIT = 1_000_000
 # Largest total work of a fit: tau grid points times the levels of shells
 # 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
 # microseconds per level, so this bounds a fit to a few seconds; the
-# 4001-point fine grid at the defaults is 676169.  The fit's sweep skips
-# most points of a fine grid (it evaluates 371 of those 4001), but where
-# the levels cross every few points it evaluates every one, so the cap
-# stays on the number of points.
+# 4001-point fine grid at the defaults is 676169.  The fit's event sweep
+# runs the kernel at 8 of those 4001 points (with 652 stations), but where
+# levels cross at every point it runs it at each, so the cap is on points.
 MAX_FIT_LEVELS = 10_000_000
 
 
@@ -207,11 +204,13 @@ def _emit(config: RunConfig, header: tuple[str, ...], rows: list, payload: dict)
     csv writes a float as its repr and None as an empty field.
     """
     if config.format == "csv":
+        import csv  # json and csv load only for the formats that need them
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
+    import json
     payload = {"config": _config_dict(config), **payload}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -6,14 +6,10 @@ entry; `#` starts a comment.  Matching is a maximum one-to-one matching
 under the window |predicted - observed| <= uncertainty + slack, and the
 deformation parameter is fitted by exhaustive grid search on the
 resulting f1 score.  The fit checks its arguments on the first grid point
-through predicted_primary_magics.  It reads the other points off a
-bisection of the grid that evaluates the record-free kernel of shells at
-the ends of each index range, and gives the whole range the ends' list
-where bounds on the second derivatives of the level differences show
-that no level order, gap threshold or cut can change inside, and else
-splits it where the chord of a changing difference crosses zero (the fine
-fit over 0.02:0.06:0.00001 evaluates 371 of its 4001 points).  It matches
-each distinct magic list once.
+through predicted_primary_magics, and reads the other points off an
+event sweep that carries the state of the record-free kernel of shells
+along the grid on certified signs of level differences.  It matches each
+distinct magic list once.
 """
 
 import math
@@ -21,13 +17,14 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from itertools import compress, islice, repeat
-from operator import gt, itemgetter, ne, sub
+from heapq import heappop, heappush
+from itertools import accumulate, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .qmath import DeformationParameter
 from .shells import _fit_point, build_scheme
-from .spectrum import ModelParameters, _drift_bounds, _shape
+from .spectrum import ModelParameters, _drift_bounds, _energies_up_to, _level_energy, _shape
 
 __all__ = [
     "ObservedMagic",
@@ -282,8 +279,8 @@ def fit_tau(
     The objective (f1 of the matching) is a step function of tau,
     so derivative-free search over an explicit grid is the right tool.
     Ties keep the smallest tau.  The trace equals evaluating every grid
-    point, but _sweep evaluates only some of them (371 of the 4001 points
-    of 0.02:0.06:0.00001 at the defaults).
+    point, but _sweep runs the kernel at few of them (8 of the 4001 points
+    of 0.02:0.06:0.00001 at the defaults, with 652 stations).
     """
     grid = [float(t) for t in tau_grid]
     if not grid:
@@ -297,13 +294,11 @@ def fit_tau(
     # but tau, and is scored first, which checks slack.
     first = tuple(predicted_primary_magics(grid[0], primary_gap, count_limit, hbar_omega0, n_max))
     scores = {first: match_magics(first, ds, slack=slack, include_paren=False).f1}
-    lists = _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max)
-    lists[0] = first
+    states = _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max)
     trace = []
-    for tau, predicted in zip(grid, lists):
-        if predicted is None:  # the kernel could not finish: the reference path raises
-            predicted = tuple(predicted_primary_magics(tau, primary_gap, count_limit,
-                                                       hbar_omega0, n_max))
+    for i, tau in enumerate(grid):  # past the sweep's points, the reference path raises
+        predicted = states[i][0] if i < len(states) else tuple(
+            predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max))
         if predicted not in scores:
             scores[predicted] = match_magics(predicted, ds, slack=slack, include_paren=False).f1
         trace.append((tau, scores[predicted]))
@@ -311,93 +306,170 @@ def fit_tau(
     return FitResult(tau_best, score_best, tuple(trace))
 
 
-def _width(point, primary_gap, tables, bounds) -> float:
-    """min_q (|q| - 5 eps) / B_q over the quantities q of a FitPoint, for tables (S2, C2, eps).
+def _reach(h, q_a, q_s, bound, rounding) -> float:
+    """How far past tau_s a quantity q keeps the sign of q_s, its computed value there.
 
-    q: the adjacent prefix spacings, the kept gaps minus primary_gap and the
-    floor margin.  B_q: S2[max n] + C2[max l] of q's pair of levels, but the
-    top entries for the margin and the spacing above the first level past the
-    cut, which stands for it against any level outside the prefix.  bounds
-    caches B_q by cut.
+    q_a is q's computed value at tau_s - h, both within rounding of exact, and
+    |q''| <= bound.  At tau_s + d, q is within bound (d + h) d / 2 of the line
+    through its exact values, itself within rounding (1 + 2 d / h) of the line
+    L through q_a and q_s: so q and its computed value keep their sign while
+    |L| - rounding (1 + 2 d / h) - bound (d + h) d / 2 > rounding.  A few ulps
+    of |q_a| + |q_s| and of d cover the rounding of this test; the 2^-600 floor
+    keeps |q_s| and every step below out of the subnormal range, where an ulp
+    is no longer relative (q_s = 2.2e-309 with bound 1.1e8 gave a d past the
+    sign's reach).
     """
-    shell2, casimir2, eps = tables
-    (k, prefix), steps = point.cut, point.steps
-    bound = bounds.get(point.cut)
-    if bound is None:
-        top = shell2[-1] + casimir2[-1]
-        ns, ls, _, _ = _shape(len(shell2) - 2)
-        bound = bounds[point.cut] = [
-            top if t == k else shell2[max(ns[a], ns[b])] + casimir2[max(ls[a], ls[b])]
-            for t, (a, b) in enumerate(zip(prefix, prefix[1:]))] + [top]
-    # A kept gap below primary_gap / 2 is nearer 0 than primary_gap.
-    return min([(v - 5 * eps) / b for v, b in zip([*steps, point.margin], bound)]
-               + [(abs(v - primary_gap) - 5 * eps) / b
-                  for v, b in zip(steps[:k - 1], bound) if v > primary_gap / 2])
+    rounding += 2.0 ** -50 * (abs(q_a) + abs(q_s)) + 2.0 ** -600
+    c0 = abs(q_s) - 2 * rounding
+    if not c0 > 0:
+        return 0.0
+    c1 = ((q_s - q_a) if q_s > 0 else (q_a - q_s)) / h - 2 * rounding / h - bound * h / 2
+    root = math.sqrt(c1 * c1 + 2 * bound * c0)
+    d = (c1 + root) / bound if c1 >= 0 else 2 * c0 / (root - c1)
+    return d * (1 - 2.0 ** -40) if 0 < d and math.isfinite(root) else 0.0
+
+
+def _certified(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s) -> int:
+    """The last grid index to which E_b - E_a, pair ((n_a, l_a), (n_b, l_b)), keeps
+    its side of each threshold, from its values at tau_a and grid[s]; tables(r)
+    are _drift_bounds' for rung r of the grid, which ends at index ends[r]."""
+    ((na, la), (nb, lb)), tau_s, last = pair, grid[s], s
+    for rung in range(bisect_left(ends, s), len(ends)):
+        shell2, casimir2, shell_error, casimir_error = tables(rung)
+        bound = (abs(shell2[na] - shell2[nb]) + abs(casimir2[la] - casimir2[lb])
+                 + 2.0 ** -40 * (shell2[na] + shell2[nb] + casimir2[la] + casimir2[lb]))
+        rounding = shell_error[na] + casimir_error[la] + shell_error[nb] + casimir_error[lb]
+        d = min([_reach(tau_s - tau_a, v_a - c, v_s - c, bound, rounding) for c in thresholds])
+        j = bisect_right(grid, tau_s + d, s, ends[rung] + 1) - 1
+        last = max(last, j - (grid[j] - tau_s >= d))
+        if j < ends[rung]:
+            break
+    return last
 
 
 def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
-    """The primary list of each grid point, or None where the kernel cannot finish.
+    """_fit_point's (primaries, cut) at each point of grid, up to the first it cannot finish.
 
-    Bisects grid index ranges [i, j], evaluating each point once at most
-    with shells._fit_point, from the shells the last point needed.  [i, j]
-    takes the list at i when its ends share list and cut and h^2 / 8 (h =
-    tau_j - tau_i) is below their _width for tables at a tau >= tau_j, the
-    top of tau_j's rung of the grid, over which they grow about twofold: no
-    quantity q changes sign inside, as it departs from its chord by at most
-    B_q h^2 / 8, the ends and the point inside round by 2 eps at most each,
-    and the fifth eps covers the rounding of q and the width.  Otherwise the
-    range splits where the chord of a changing spacing or kept gap crosses
-    zero, else at its middle: at worst every point is evaluated.
+    A forward event sweep.  A state (the kept levels in energy order with the
+    one above them, the prefix) holds while these level differences keep
+    their sides: the prefix spacings, the kept gaps against primary_gap, the
+    floor E(n_max + 1, n_max + 1) minus the top kept level, and each shell's
+    lowest outside level minus the prefix top, up to the first shell with
+    none in the prefix (E less its rounding bound rises as l falls, E(n, n)
+    by (n + 1) / n per shell).  A station, the first point past a
+    certificate, evaluates the expired ones alone.  A kept gap crossing
+    primary_gap, or a swap of two kept levels (ties order by n, l) whose new
+    neighbours are in order, is repaired in place; any other change goes to
+    _fit_point, which walks the grid until two untied points agree.
     """
-    bounds_at = _drift_bounds(n_max, hbar_omega0)
-    ends, rise = [-1], math.log(2) / (2 * n_max + 2)  # the last grid index of each rung
-    while ends[-1] < len(grid) - 1:
-        ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise) - 1, ends[-1] + 1))
-    points, shells = {}, n_max  # grid index -> FitPoint or None; the last point's shells
-    rung_tables = lru_cache(None)(lambda rung: (bounds_at(grid[ends[rung]]), {}))  # and B_q by cut
-    width = lru_cache(None)(lambda i, rung: _width(points[i], primary_gap, *rung_tables(rung)))
+    levels, floor, index = list(zip(*_shape(n_max)[:2])), (n_max + 1, n_max + 1), {}  # by index
 
-    def point(i):
+    def refused(i):
+        try:
+            return not _energies_up_to(
+                ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max), n_max, 0)
+        except ValueError:
+            return True
+
+    # The sweep ends at the first non-finite or refused point; refusal rises with tau.
+    stop, ends = [*map(math.isfinite, grid), False].index(False), []
+    bounds_at, rise = _drift_bounds(n_max, hbar_omega0), math.log(2) / (2 * n_max + 2)
+    tables = lru_cache(None)(lambda rung: bounds_at(grid[ends[rung]]))
+    states, shells = [None] * stop, n_max
+
+    @lru_cache(None)
+    def kernel(i):  # from the highest shell of the last prefix, at its largest index
         nonlocal shells
-        if i not in points:
-            points[i] = None
-            try:
-                params = ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max)
-            except ValueError:  # a non-finite tau; the reference path reports it
-                return None
-            points[i] = _fit_point(params, count_limit, primary_gap, shells)
-            shells = points[i].highest if points[i] else shells
-        return points[i]
+        point = _fit_point(ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max),
+                           count_limit, primary_gap, shells)
+        shells = levels[max(point.cut[1])][0] if point else shells
+        return point
 
-    def split(i, j, low, high):
-        roots = []
-        if j - i > 2 and low and high:
-            near, far = (low, high) if len(low.energies) <= len(high.energies) else (high, low)
-            (k, prefix), steps, level = near.cut, near.steps, far.energies.__getitem__
-            # Where, near to far, the chords of the lowest changing spacing (if the cuts
-            # differ) and kept gap - primary_gap (if the lists differ) cross zero.
-            for c, scanned in ((0.0, len(steps) if low.cut != high.cut else 0),
-                               (primary_gap, k - 1 if low.primaries != high.primaries else 0)):
-                there = map(sub, map(level, islice(prefix, 1, None)), map(level, prefix))
-                flips = map(ne, map(gt, steps, repeat(c)), map(gt, there, repeat(c)))
-                for t in islice(compress(range(scanned), flips), 1):
-                    u, v = steps[t] - c, level(prefix[t + 1]) - level(prefix[t]) - c
-                    roots.append(u / (u - v) if near is low else v / (v - u))
-        r = min(roots, key=lambda r: abs(r - 0.5), default=0.5)
-        return min(max(i + round(r * (j - i)), i + 1), j - 1)
+    def carry(i, point):  # from i + 1 to the first station the kernel takes, or stop
+        nonlocal stop
+        if not ends:  # the first carry cuts the refused tail
+            index.update((level, x) for x, level in enumerate(levels))
+            stop = bisect_left(range(stop), True, key=refused) if refused(stop - 1) else stop
+            ends.append(-1)  # the last index of each rung, over which the bounds about double
+            while ends[-1] < stop - 1:
+                ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise, 0, stop) - 1,
+                                ends[-1] + 1))
+        k, order = point.cut[0], [levels[x] for x in point.cut[1]]
+        live, heap, above = {}, [], set()  # pair of (n, l) -> [tau, value, last index, kind]
 
-    lists, stack = [None] * len(grid), [(0, len(grid) - 1)]
-    while stack:
-        i, j = stack.pop()
-        low, high = point(i), point(j)
-        if j - i > 1:
-            h = grid[j] - grid[i]  # squared by a product, which overflows to inf
-            rung = bisect_left(ends, j)
-            if not (low and high and low[:2] == high[:2]  # the same list and cut
-                    and h * h / 8 < width(i, rung) and h * h / 8 < width(j, rung)):
-                middle = split(i, j, low, high)
-                stack += (middle, j), (i, middle)
-                continue
-        lists[i:j] = repeat(low and tuple(low.primaries), j - i)
-        lists[j] = high and tuple(high.primaries)
-    return lists
+        def adjacent(lo, hi):  # pair -> kind: True a kept gap, else False (an outsider: None)
+            pairs = {(order[j], order[j + 1]): j < k - 1
+                     for j in range(max(lo, 0), min(hi, len(order) - 1))}
+            pairs[order[k - 1], floor] = False
+            return pairs
+
+        def certify(pair, kind, tau_a, v_a, s, v_s):  # a kept gap: the sides of primary_gap, 0
+            thresholds = (0.0, primary_gap)[kind and v_s > primary_gap:1 + bool(kind)]
+            last = _certified(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s)
+            live[pair] = [grid[s], v_s, last, kind]
+            heappush(heap, (last, pair))
+            (above.add if kind and v_s > primary_gap else above.discard)(pair)
+
+        def start(s, pairs):  # pairs new at s take their first value at s - 1
+            then, now = (lru_cache(None)(_level_energy(grid[j], hbar_omega0)) for j in (s - 1, s))
+            for (a, b), kind in pairs.items():
+                certify((a, b), kind, grid[s - 1], then(*b) - then(*a), s, now(*b) - now(*a))
+
+        def in_order(x, y, energy):  # as the kernel's sort, on (E, n, l), puts them; floor above
+            return (energy(*x), x) < (energy(*y), y if y != floor else ())
+
+        def margin(x, kind):  # an outsider's: the lower levels of x's shell lie above E_x less this
+            if kind is not None:
+                return -math.inf
+            _, _, shell_error, casimir_error = tables(bisect_left(ends, s))
+            return 2 * (shell_error[x[0]] + casimir_error[x[1]])
+
+        outsiders, inside = {}, set(order)
+        for n in range(n_max + 1 if len(order) > k else 0):
+            outside = [(n, l) for l in range(n, -1, -2) if (n, l) not in inside][:1]
+            outsiders.update(((order[k], x), None) for x in outside)
+            if outside == [(n, n)]:
+                break
+        start(i + 1, adjacent(0, k + 1) | outsiders)
+        since, state = i + 1, (tuple(point.primaries), point.cut)
+        while (s := min(heap[0][0] + 1, stop)) < stop:
+            energy, expired, bad, changed = _level_energy(grid[s], hbar_omega0), [], [], False
+            while heap and heap[0][0] < s:
+                last, pair = heappop(heap)
+                rec = live.get(pair)
+                if rec and rec[2] == last:  # live, and not popped yet at this station
+                    rec[2], v = None, energy(*pair[1]) - energy(*pair[0])
+                    expired.append((pair, rec, v))
+                    if not (0 < v or in_order(*pair, energy)) or v <= margin(pair[1], rec[3]):
+                        bad.append(pair)
+                    changed = changed or rec[3] and (v > primary_gap) != (rec[1] > primary_gap)
+            if bad:
+                (a, b), t = bad[0], order.index(bad[0][0])  # a precedes b in the prefix
+                if not (len(bad) == 1 and t + 1 < k):
+                    break
+                old, order[t], order[t + 1], changed = adjacent(t - 1, t + 2), b, a, True  # swap
+                pairs = adjacent(t - 1, t + 2)
+                for pair in old.keys() - pairs.keys():
+                    del live[pair]
+                new = {(x, y): kind for (x, y), kind in pairs.items() if (x, y) not in live}
+                if not all(in_order(x, y, energy) for x, y in new):
+                    break
+                start(s, new)
+            for pair, rec, v in expired:
+                if pair in live:
+                    certify(pair, rec[3], rec[0], rec[1], s, v)
+            if changed:
+                states[since:s] = repeat(state, s - since)
+                cut = tuple(map(index.__getitem__, order))
+                totals = accumulate(map(_shape(n_max)[2].__getitem__, cut))
+                primaries = tuple(compress(totals, map(above.__contains__, zip(order, order[1:k]))))
+                since, state = s, (primaries, (k, cut))
+        states[since:s] = repeat(state, s - since)
+        return s
+
+    i = 0
+    while i < stop and (point := kernel(i)):
+        states[i] = tuple(point.primaries), point.cut
+        after = i + 1 < stop and kernel(i + 1)
+        i = carry(i, after) if after and after[:2] == point[:2] and not after.tied else i + 1
+    return states[:i]

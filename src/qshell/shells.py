@@ -16,8 +16,8 @@ scheme complete.  build_scheme is the reference path: it cuts the
 energies of its Level records and builds a validated LevelScheme.  A fit
 evaluates its taus through _fit_point instead, which cuts the energy
 column of the shells its kept levels can reach and returns the primary
-magic numbers, with the sorted prefix and the differences that let the
-fit carry them to nearby taus.  _required_n_max cuts the prefixes of one
+magic numbers, with the sorted prefix whose order the fit carries to
+nearby taus.  _required_n_max cuts the prefixes of one
 longer column.
 """
 
@@ -26,7 +26,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import partial
 from itertools import accumulate, takewhile
-from operator import ge, sub
+from operator import ge
 
 from .spectrum import Level, ModelParameters, _energies_up_to, _shape, energy, enumerate_levels
 
@@ -98,7 +98,7 @@ class LevelScheme(namedtuple("LevelScheme", "levels cumulative params")):
         return cls(*iterable)
 
 
-FitPoint = namedtuple("FitPoint", "primaries cut steps margin energies highest")
+FitPoint = namedtuple("FitPoint", "primaries cut tied")
 
 # Shells added per step when searching for the n_max to suggest.
 _N_MAX_STEP = 8
@@ -181,16 +181,14 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float, m: int)
 
     The list is read off the energy column of shells 0..m through _cut, m
     growing from the given value until every level of shell m + 1 lies
-    above the kept levels and the two above them, or up to n_max.  Higher
+    above the kept levels and the one above them, or up to n_max.  Higher
     shells start higher still, so the prefix, cut and list are those of
     shells 0..n_max, and the column is refused exactly where theirs is.
 
     Returns None where build_scheme would raise, else a FitPoint: cut is
-    (k, prefix), the kept count and the table indices of the kept levels
-    and the two above them in energy order; steps the adjacent prefix
-    differences; margin the floor E(n_max + 1, n_max + 1) minus the top
-    kept energy; energies the column cut (shells 0..m + 1, or 0..n_max);
-    highest the prefix's highest shell.  Checks no argument.
+    (k, prefix), the kept count and the table indices of the kept levels and
+    the one above them in energy order; tied, whether two of them tie.
+    Checks no argument.
     """
     n_max = p.n_max
     while True:
@@ -201,19 +199,16 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float, m: int)
         lowest_above = min(energies[len(_shape(m)[0]):], default=floor)
         order, totals, complete = _cut(energies, lowest_above, m, count_limit)
         k = len(totals)
-        prefix = order[:k + 2]
-        if m == n_max or (len(prefix) == k + 2 and lowest_above > energies[prefix[-1]]):
+        prefix = order[:k + 1]
+        if m == n_max or (len(prefix) > k and lowest_above > energies[prefix[-1]]):
             break
         m += 1
-    margin = floor - energies[prefix[k - 1]]
-    if not (complete and margin > 0):
+    if not (complete and floor > energies[prefix[k - 1]]):
         return None
     ordered = list(map(energies.__getitem__, prefix))
-    steps = list(map(sub, ordered[1:], ordered))
-    primaries = [count for gap, count in zip(steps[:k - 1], totals) if gap > primary_gap]
-    # The column runs in ascending n, so its largest index has the highest shell.
-    highest = _shape(n_max)[0][max(prefix)]
-    return FitPoint(primaries, (k, tuple(prefix)), steps, margin, energies, highest)
+    primaries = [count for low, high, count in zip(ordered, ordered[1:k], totals)
+                 if high - low > primary_gap]
+    return FitPoint(primaries, (k, tuple(prefix)), len(set(ordered)) < len(ordered))
 
 
 def detect_shells(

@@ -22,8 +22,9 @@ same order as energy(), so both give bit-identical energies (the CSV and
 JSON output print repr(energy)), and it also returns the next shell's
 lowest energy, which decides whether a truncated scheme is complete.
 Both refuse a tau where the two terms cancel to more than a relative
-1e-6 of rounding (above tau of about 8), and _drift_bounds bounds the
-second derivative and the rounding of those energies for the fit's sweep.
+1e-6 of rounding (above tau of about 8).  For the fit's sweep, _level_energy
+evaluates single levels with the column's operations, and _drift_bounds
+bounds the curvature of level differences and the rounding of each level.
 The levels follow the tau-independent (n, l, 2(2l+1)) shape of the
 table, cached and checked against Level's rules once per n_max, so
 enumerate_levels() makes its Level records without checking them again.
@@ -273,56 +274,52 @@ def _energies_up_to(p: ModelParameters, n_hi: int,
     return [hbar_omega0 * (shell[n] - casimir[l]) for n, l in zip(ns, ls)], floor
 
 
+def _level_energy(tau: float, hbar_omega0: float):
+    """(n, l) -> the energy _energies_up_to gives (n, l) at tau > 0, bit for bit; the floor too."""
+    sinh, sinh_tau, q = math.sinh, math.sinh(tau), math.exp(tau)
+    casimir_coeff = q * math.tanh(tau)
+    return lambda n, l: hbar_omega0 * (sinh(tau * n) / sinh_tau * q ** (n + 1) - casimir_coeff * (
+        sinh(tau * l) / sinh_tau * (sinh(tau * (l + 1)) / sinh_tau)))
+
+
 def _drift_bounds(n_max: int, hbar_omega0: float):
-    """A function of tau_hi giving (S2, C2, eps) for the levels of shells 0..n_max + 1.
+    """A function of tau_hi giving (S2, C2, S_err, C_err) for the levels of shells 0..n_max + 1.
 
-    Over 0 <= tau <= tau_hi, S2[n] bounds hbar_omega0 S_n'' and C2[l] the
-    bound on hbar_omega0 C_l'' below (n, l <= n_max + 1), so
-    |d^2/dtau^2 (E(n, l) - E(n', l'))| <= S2[max(n, n')] + C2[max(l, l')],
-    at most S2[-1] + C2[-1].  eps bounds the rounding error of every energy
-    _energies_up_to returns at any tau in that range, the floor included.
-
-    E = hbar_omega0 (S_n - C_l), with S_n = [n] q^(n+1) = sum_{m=1..n} e^(2 m tau)
-    and C_l = f [l][l+1], f = q tanh(tau).  [l][l+1] = P_l(tau) =
-    sum_{i=1..l} 2 (l - i + 1) cosh((2i - 1) tau), from [l+1] - [l-1] =
-    2 cosh(l tau).  For tau >= 0:
-    - S_n'' = sum 4 m^2 e^(2 m tau) >= 0, rising with n and tau;
-    - P_l, P_l' and P_l'' are positive sums of cosh and sinh terms, rising
-      with l and tau;
-    - f = e^tau t (t = tanh tau), f' = e^tau (1 + t - t^2) <= 1.25 e^tau and
-      f'' = e^tau (2 - t - 2t^2 + 2t^3), in [0, 2 e^tau]; so
-      0 <= C_l'' = f'' P_l + 2 f' P_l' + f P_l'' <= 2 e^tau P_l + 2.5 e^tau P_l' + f P_l''.
-    Both second derivatives are non-negative, so a difference of two S''
-    is at most the larger, and so of two C''.  S2 sums the terms of S'' at
-    tau_hi; P_l weighs its term i by l - i + 1, so C2 is a double prefix
-    sum.  eps is _term_error at tau_hi times hbar_omega0 (S_L + C_L),
-    L = n_max + 1, the largest terms, both rising with tau.  The sums are of
-    positive terms, and their rounding is covered by a factor 1 + 1e-9.
-    Overflow gives inf.
+    Over 0 <= tau <= tau_hi, |S2[n] - S2[n']| + |C2[l] - C2[l']| bounds the
+    second derivative of E(n, l) - E(n', l'), and S_err[n] + C_err[l] the
+    rounding of the energy _energies_up_to gives (n, l), the floor's too:
+    _term_error at tau_hi times hbar_omega0 (S_n + C_l), where E = hbar_omega0
+    (S_n - C_l), S_n = [n] q^(n+1) = sum_{m=1..n} e^(2 m tau), C_l = f P_l,
+    f = q tanh(tau) and P_l = [l][l+1] = sum_{i=1..l} 2 (l - i + 1) cosh((2i - 1) tau).
+    For tau >= 0, S'' = sum 4 m^2 e^(2 m tau), and the differences of P, P'
+    and P'' to a lower l's are positive sums of cosh and sinh terms, all
+    rising with tau; with t = tanh(tau), f' = e^tau (1 + t - t^2) <= 1.25 e^tau
+    and f'' = e^tau (2 - t - 2t^2 + 2t^3) is in [0, 2 e^tau], so C'' of l less
+    C'' of a lower l is at most 2 e^tau dP + 2.5 e^tau dP' + f dP''.  1 + 1e-9
+    covers the rounding of the sums, 2^-40 times two entries that of their
+    difference (the caller's to add).  Overflow gives inf.
     """
     top = n_max + 1
-    shells = range(1, top + 1)
-    odd = [2 * i - 1 for i in shells]
-    s2 = [4 * m * m for m in shells]
-    p0 = [2 * (top - i + 1) for i in shells]
+    odd = [2 * i - 1 for i in range(1, top + 1)]
+    s2 = [4 * m * m for m in range(1, top + 1)]
 
-    def bounds(tau_hi: float) -> tuple[list[float], list[float], float]:
+    def bounds(tau_hi: float) -> tuple[list[float], ...]:
         try:
-            x = math.exp(2 * tau_hi)
-            powers = list(accumulate(repeat(x, top), operator.mul))  # e^(2 m tau)
+            powers = list(accumulate(repeat(math.exp(2 * tau_hi), top), operator.mul))
             cosh = [math.cosh(k * tau_hi) for k in odd]
             sinh = [math.sinh(k * tau_hi) for k in odd]
         except OverflowError:
-            return [math.inf] * (top + 1), [math.inf] * (top + 1), math.inf
+            return ([math.inf] * (top + 1),) * 4
         y = math.exp(tau_hi)
         f = y * math.tanh(tau_hi)
         scale = hbar_omega0 * (1 + 1e-9)
+        error = scale * _term_error(tau_hi, n_max)
         # Term i of 2 y P_l + 2.5 y P_l' + f P_l'', before the weight l - i + 1.
         terms = [2 * c * (2 * y + f * k * k) + 5 * y * k * s for k, c, s in zip(odd, cosh, sinh)]
-        shell2 = [scale * s for s in accumulate(map(operator.mul, s2, powers), initial=0.0)]
-        casimir2 = [scale * c for c in accumulate(accumulate(terms), initial=0.0)]
-        eps = _term_error(tau_hi, n_max) * (sum(powers) + f * sum(map(operator.mul, p0, cosh)))
-        return shell2, casimir2, scale * eps
+        return ([scale * s for s in accumulate(map(operator.mul, s2, powers), initial=0.0)],
+                [scale * c for c in accumulate(accumulate(terms), initial=0.0)],
+                [error * s for s in accumulate(powers, initial=0.0)],
+                [error * f * p for p in accumulate(accumulate(2 * c for c in cosh), initial=0.0)])
 
     return bounds
 

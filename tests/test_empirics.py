@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -22,7 +23,7 @@ from qshell.empirics import (
 from qshell import empirics
 from qshell.qmath import DeformationParameter
 from qshell.shells import InsufficientNMaxError, _fit_point, build_scheme
-from qshell.spectrum import ModelParameters, _drift_bounds, energy, enumerate_levels
+from qshell.spectrum import ModelParameters, _energies_up_to, _shape, energy
 
 MARTIN = [
     (2, 0, False), (8, 0, False), (18, 0, True), (20, 0, False), (34, 0, False),
@@ -481,112 +482,201 @@ def test_sweep_trace_is_the_per_point_trace(grid, name, primary_gap, fill, hbar_
     assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
 
 
-@pytest.mark.parametrize("grid, options, most_evaluated", [
-    ((0.02, 0.06, 1e-5), {}, 450),
-    ((0.02, 0.06, 1e-5), {"n_max": 30, "count_limit": 3000}, 800),
+TIED_SHELL = [2.6306 + i * 1e-5 for i in range(201)]
+
+
+def _counted(monkeypatch):
+    # The taus of the kernel's calls and of the sweep's single-level
+    # evaluations: at each station, and at the two points where a carried
+    # state starts or a swap adds pairs.
+    kernel_taus, station_taus = [], []
+    kernel, level_energy = empirics._fit_point, empirics._level_energy
+    monkeypatch.setattr(empirics, "_fit_point",
+                        lambda p, *a: kernel_taus.append(p.deformation.tau) or kernel(p, *a))
+    monkeypatch.setattr(empirics, "_level_energy",
+                        lambda tau, hw: station_taus.append(tau) or level_energy(tau, hw))
+    return kernel_taus, station_taus
+
+
+def _kernel_states(grid, primary_gap, count_limit, hbar_omega0=1.0, n_max=24):
+    # (primaries, cut) of every point read off the kernel on all shells, up
+    # to the first it cannot finish.
+    states = []
+    for tau in grid:
+        point = _fit_point(ModelParameters(DeformationParameter(tau), hbar_omega0, n_max),
+                           count_limit, primary_gap, n_max)
+        if point is None:
+            break
+        states.append((tuple(point.primaries), point.cut))
+    return states
+
+
+@pytest.mark.parametrize("grid, options, most_kernel_calls, most_stations", [
+    ((0.02, 0.06, 1e-5), {}, 10, 1000),
+    ((0.02, 0.06, 1e-5), {"n_max": 30, "count_limit": 3000}, 31, 1770),
     # Below tau = 0.01 the levels of a shell lie within ~tau l^2 of each
     # other, and the magic list changes every few points.
-    ((0.001, 0.12, 3e-5), {"n_max": 40}, 3100),
-    ((0.02, 0.06, 1e-5), {"primary_gap": 0.3}, 500),
+    ((0.001, 0.12, 3e-5), {"n_max": 40}, 43, 2060),
+    ((0.02, 0.06, 1e-5), {"primary_gap": 0.3}, 10, 1025),
 ], ids=["defaults", "n_max 30, count_limit 3000", "tau 0.001-0.12, n_max 40", "gap 0.3"])
-def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_evaluated, monkeypatch):
+def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_kernel_calls, most_stations,
+                                                  monkeypatch):
     lo, hi, step = grid
     taus = [round(lo + i * step, 10) for i in range(round((hi - lo) / step) + 1)]
     kwargs = {"primary_gap": 0.39, "count_limit": 1520, **options}
     ds = load_named_dataset("martin")
-    evaluated = []
-    kernel = empirics._fit_point
-    monkeypatch.setattr(empirics, "_fit_point", lambda *a: evaluated.append(a) or kernel(*a))
-    result = fit_tau(ds, taus, **kwargs)
-    assert result.grid == _direct_trace(ds, taus, **kwargs)
-    # Each point at most once, and many not at all (371 of 4001 at the defaults).
-    assert len({a[0].deformation.tau for a in evaluated}) == len(evaluated) <= most_evaluated
+    expected = _direct_trace(ds, taus, **kwargs)
+    kernel_taus, station_taus = _counted(monkeypatch)
+    assert fit_tau(ds, taus, **kwargs).grid == expected
+    # The kernel runs at few points, each at most once (8 of 4001 at the
+    # defaults), and single levels are evaluated at some more: at each
+    # station (652), and at two points where a state starts (4) or a swap
+    # adds pairs (72), 804 in all.  The budgets are 1.25 times the counts.
+    assert len(set(kernel_taus)) == len(kernel_taus) <= most_kernel_calls
+    assert len(station_taus) <= most_stations
 
 
-@settings(deadline=None)
-@given(tau=st.floats(min_value=1e-4, max_value=1.0), rise=st.floats(min_value=0.0, max_value=0.5),
-       n_max=st.integers(min_value=1, max_value=40),
-       count_limit=st.integers(min_value=2, max_value=3000),
-       primary_gap=st.floats(min_value=0.0, max_value=2.0),
-       scales=st.none() | st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=84,
-                                   max_size=84))
-# Just past crossings of kept levels, where the least quantity is a kept
-# spacing below primary_gap / 2, and the spacing from the top kept level
-# to the first one past the cut.
-@example(tau=0.020163850917686185, rise=0.0, n_max=24, count_limit=1520, primary_gap=0.39,
-         scales=None)
-@example(tau=0.027243316748560724, rise=0.0, n_max=24, count_limit=1520, primary_gap=0.39,
-         scales=None)
-def test_width_is_the_least_quantity_over_its_pair_bound(tau, rise, n_max, count_limit,
-                                                         primary_gap, scales):
-    # Every adjacent spacing of the kept levels and the two above them, every
-    # kept gap's distance from primary_gap and the floor margin, less 5 eps,
-    # over the bound of its pair of levels: the top one for the floor margin
-    # and for the spacing above the first level past the cut.  The tables
-    # are _drift_bounds' above tau, or any rising ones, under which the top
-    # entries bind less often and the kept spacings more.
-    p = ModelParameters(DeformationParameter(tau), 1.0, n_max)
-    try:
-        k = len(build_scheme(p, count_limit).levels)
-    except InsufficientNMaxError:
+@pytest.mark.parametrize("grid, primary_gap, count_limit, hbar_omega0, n_max", [
+    # (25, 1) and (25, 3) are kept and have equal energies at the first
+    # point, and the list changes at the second.
+    ([0.8211608421195171 + i * (0.840281913512822 - 0.8211608421195171) / 131
+      for i in range(132)], 0.1228103859769204, 6736, 1.7, 32),
+    # (21, 21) passes both (16, 0) and (17, 9) between points 143 and 144:
+    # swapped with (16, 0) alone, it would lie below its new neighbour.
+    ([round(0.0224 + i * 1.5e-5, 10) for i in range(185)], 0.02, 3001, 1.0, 23),
+    # The 5-point fit of acceptance criterion 11: no two points share a
+    # state, and the kernel walks all five.
+    ([0.03, 0.034, 0.038, 0.042, 0.046], 0.39, 1520, 1.0, 24),
+    # The energies of shell 36's low levels are equal floats: the kernel
+    # keeps its l = 36..30 and its lowest l's, which tie with the level
+    # above the cut (see the next test).
+    (TIED_SHELL, 0.39, 17819, 1.7, 38),
+], ids=["tie of two kept levels", "a level passing two", "criterion 11",
+        "tied shell at tau 2.6316"])
+def test_sweep_states_are_the_kernel_states(grid, primary_gap, count_limit, hbar_omega0, n_max):
+    states = _kernel_states(grid, primary_gap, count_limit, hbar_omega0, n_max)
+    assert empirics._sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) == states
+    assert len(states) == len(grid)
+    ds = load_named_dataset("martin")
+    args = (ds, grid, primary_gap, count_limit, 0, hbar_omega0, n_max)
+    assert fit_tau(*args) == _plain_fit(*args)
+
+
+def test_sweep_walks_where_kept_levels_tie(monkeypatch):
+    # No certificate can hold a tie, so no state with one is carried: the
+    # kernel runs at every point.
+    kernel_taus, _ = _counted(monkeypatch)
+    assert len(empirics._sweep(TIED_SHELL, 0.39, 17819, 1.7, 38)) == len(TIED_SHELL)
+    assert kernel_taus == TIED_SHELL
+    p = ModelParameters(DeformationParameter(2.631647282022267), 1.7, 38)
+    kept = [lev.l for lev in build_scheme(p, 17819).levels if lev.n == 36]
+    assert kept != sorted(kept, reverse=True)  # not shell 36's highest l's
+
+
+def test_sweep_sees_the_tie_of_two_kept_levels():
+    tau = 0.8211608421195171
+    p = ModelParameters(DeformationParameter(tau), 1.7, 32)
+    assert energy(25, 1, p) == energy(25, 3, p)
+    kept = [(lev.n, lev.l) for lev in build_scheme(p, 6736).levels]
+    assert (25, 1) in kept and (25, 3) in kept
+    after = tau + (0.840281913512822 - tau) / 131
+    lists = [predicted_primary_magics(t, 0.1228103859769204, 6736, 1.7, 32) for t in (tau, after)]
+    assert lists[0] != lists[1]
+
+
+@settings(deadline=None, max_examples=300)
+@given(h=st.floats(min_value=1e-12, max_value=1.0),
+       q_a=st.floats(min_value=-1e3, max_value=1e3), q_s=st.floats(min_value=-1e3, max_value=1e3),
+       bound=st.floats(min_value=1e-9, max_value=1e12),
+       rounding=st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0)))
+@example(h=1e-5, q_a=0.3, q_s=0.3001, bound=1e3, rounding=1e-13)
+@example(h=1.0, q_a=0.0, q_s=2.225073858507203e-309, bound=109794005.0, rounding=0.0)
+def test_reach_certifies_the_sign_in_exact_arithmetic(h, q_a, q_s, bound, rounding):
+    # At the distance _reach returns, |L| - rounding (1 + 2d/h) - bound (d + h) d / 2
+    # still exceeds rounding, in rational arithmetic, where L is the line
+    # through q_a and q_s, and L keeps q_s's sign; the test is concave in d,
+    # so it holds over [0, d] too.  Exactly 0 where |q_s| <= 2 rounding.
+    d = empirics._reach(h, q_a, q_s, bound, rounding)
+    assert d >= 0
+    if abs(q_s) <= 2 * rounding:
+        assert d == 0
+    if d == 0:
         return
-    prefix = sorted(enumerate_levels(p), key=lambda lev: (lev.energy, lev.n, lev.l))[:k + 2]
-    if scales is None:
-        tables = _drift_bounds(n_max, 1.0)(tau + rise)
-    else:
-        tables = sorted(scales[:n_max + 2]), sorted(scales[42:n_max + 44]), 1e-12
-    shell2, casimir2, eps = tables
-    top = shell2[-1] + casimir2[-1]
-    quantities = [(energy(n_max + 1, n_max + 1, p) - prefix[k - 1].energy, top)]
-    for t, (a, b) in enumerate(zip(prefix, prefix[1:])):
-        pair = top if t == k else shell2[max(a.n, b.n)] + casimir2[max(a.l, b.l)]
-        quantities.append((b.energy - a.energy, pair))
-        if t < k - 1:
-            quantities.append((abs(b.energy - a.energy - primary_gap), pair))
-    expected = min((q - 5 * eps) / bound for q, bound in quantities)
-    point = _fit_point(p, count_limit, primary_gap, n_max)
-    bounds = {}
-    assert empirics._width(point, primary_gap, tables, bounds) == expected
-    assert empirics._width(point, primary_gap, tables, bounds) == expected  # off the cache
+    H, A, S, B, R, D = map(Fraction, (h, q_a, q_s, bound, rounding, d))
+    line = S + (S - A) * D / H
+    assert (line > 0) == (S > 0)
+    assert abs(line) - R * (1 + 2 * D / H) - B * (D + H) * D / 2 > R
+    assert abs(S) - R > R
 
 
-def test_every_carried_range_is_certified_by_both_ends(monkeypatch):
-    # Two evaluated grid points with unevaluated ones between them bound a
-    # range the sweep carried: they share list and cut, and h^2 / 8 is below
-    # both their widths under one set of tables taken at or above the right
-    # end.  The grid spans a ~4e5-fold rise of the top bound, so tables of
-    # several taus are used.
+def test_reach_is_the_root_of_a_straight_quantity():
+    # No curvature and no rounding: q falls from 1 to 0.5 over h = 1, so
+    # it reaches 0 a distance 1 past tau_s; curvature or rounding shorten that.
+    straight = empirics._reach(1.0, 1.0, 0.5, 0.0, 0.0)
+    assert straight == pytest.approx(1.0, rel=1e-9) and straight < 1.0
+    assert empirics._reach(1.0, 1.0, 0.5, 1e-3, 0.0) < straight
+    assert empirics._reach(1.0, 1.0, 0.5, 0.0, 1e-3) < straight
+    assert empirics._reach(1.0, 0.0, 0.5, 1e-300, 0.0) > 1e299  # rising, and almost no bound
+
+
+def _quantities(point, primary_gap, n_max):
+    # The thresholds of each pair of levels ((n, l), (n', l')) of a state:
+    # adjacent prefix spacings, kept gaps, floor minus top kept, and the
+    # highest-l outside level of each shell minus the prefix top, up to the
+    # first shell whose (n, n) is outside.
+    levels = list(zip(*_shape(n_max)[:2]))
+    (k, prefix), quantities = point.cut, {}
+    names = [levels[x] for x in prefix]
+    for t, pair in enumerate(zip(names, names[1:])):
+        quantities[pair] = (0.0, primary_gap) if t < k - 1 else (0.0,)
+    quantities[names[k - 1], (n_max + 1, n_max + 1)] = (0.0,)
+    for n in range(n_max + 1 if len(names) > k else 0):
+        outside = [(n, l) for l in range(n, -1, -2) if (n, l) not in names]
+        quantities.update({(names[k], x): (0.0,) for x in outside[:1]})
+        if (n, n) in outside:
+            break
+    return quantities
+
+
+def test_every_carried_point_is_certified(monkeypatch):
+    # At every point the sweep did not hand to the kernel, each quantity of
+    # the kernel's state there lies on the side of each of its thresholds
+    # that a certificate computed at or before that point holds it on.  The
+    # grid spans many rungs of the bound tables.
     taus = [round(0.02 + i * 1e-4, 10) for i in range(2801)]
-    index = {tau: i for i, tau in enumerate(taus)}
-    evaluated, tau_of, widths = {}, {}, {}  # tau -> FitPoint; id -> tau; (tau, tau_hi) -> width
-    kernel, width, bounds_at = empirics._fit_point, empirics._width, empirics._drift_bounds
+    certificates = {}  # pair -> [(first index, last index, thresholds, value there)]
+    certified = empirics._certified
 
-    def fit_point(p, *args):
-        point = evaluated[p.deformation.tau] = kernel(p, *args)
-        tau_of[id(point)] = p.deformation.tau
-        return point
+    def spy(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s):
+        last = certified(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s)
+        certificates.setdefault(pair, []).append((s, last, thresholds, v_s))
+        return last
 
     def drift_bounds(*args):
-        return lambda tau_hi: (*bounds_at(*args)(tau_hi), tau_hi)
+        bounds = bounds_at(*args)
+        return lambda tau_hi: rung_tops.add(tau_hi) or bounds(tau_hi)
 
-    def spy_width(point, primary_gap, tables, bounds):
-        value = width(point, primary_gap, tables[:3], bounds)
-        widths[tau_of[id(point)], tables[3]] = value
-        return value
-
-    monkeypatch.setattr(empirics, "_fit_point", fit_point)
+    rung_tops, bounds_at = set(), empirics._drift_bounds
+    monkeypatch.setattr(empirics, "_certified", spy)
     monkeypatch.setattr(empirics, "_drift_bounds", drift_bounds)
-    monkeypatch.setattr(empirics, "_width", spy_width)
-    empirics._sweep(taus, 0.39, 1520, 1.0, 24)
-    done = sorted(evaluated)
-    carried = [(a, b) for a, b in zip(done, done[1:]) if index[b] - index[a] > 1]
-    assert len(carried) > 100
-    for a, b in carried:
-        assert evaluated[a][:2] == evaluated[b][:2]
-        drift = (b - a) * (b - a) / 8
-        assert any(tau_hi >= b and drift < w and drift < widths.get((b, tau_hi), -math.inf)
-                   for (tau, tau_hi), w in widths.items() if tau == a)
-    assert len({tau_hi for _, tau_hi in widths}) > 10
+    kernel_taus, station_taus = _counted(monkeypatch)
+    states = empirics._sweep(taus, 0.39, 1520, 1.0, 24)
+    monkeypatch.undo()
+    assert states == _kernel_states(taus, 0.39, 1520)
+    carried = [j for j, tau in enumerate(taus) if tau not in kernel_taus]
+    assert len(carried) > 2700 and len(set(station_taus)) > 300 and len(rung_tops) > 10
+    ns, ls, _, _ = _shape(24)
+    for j in carried:
+        p = ModelParameters(DeformationParameter(taus[j]), 1.0, 24)
+        energies, floor = _energies_up_to(p, 24)
+        energy_of = {**dict(zip(zip(ns, ls), energies)), (25, 25): floor}
+        for (a, b), needed in _quantities(_fit_point(p, 1520, 0.39, 24), 0.39, 24).items():
+            value = energy_of[b] - energy_of[a]
+            held = [thresholds for s, last, thresholds, v_s in certificates.get((a, b), ())
+                    if s <= j <= last and all(value != c and (v_s > c) == (value > c)
+                                              for c in thresholds)]
+            assert any(set(needed) <= {*thresholds, 0.0} and (0.0 in thresholds or value > 0.39)
+                       for thresholds in held), (j, a, b)
 
 
 @pytest.mark.parametrize("hi", [3.51, 3.52, 3.54])
@@ -594,16 +684,37 @@ def test_sweep_certifies_nothing_where_the_curvature_bounds_overflow(hi, monkeyp
     # At n_max 100 the bound tables overflow from tau = 3.51 (at 3.52 so does
     # the rounding bound, and at 3.54 cosh raises), below the energies of
     # shells 0..100 (from 3.527).
-    # Eight particles keep one magic list all the way, but no range is
-    # carried: every point is evaluated, and the trace and error are the
-    # reference path's.
+    # Eight particles keep one magic list all the way, but no certificate
+    # reaches past its point: each point is a station or a kernel call, and
+    # the trace and error are the reference path's.
     taus = [round(3.49 + i * (hi - 3.49) / 40, 10) for i in range(41)]
     args = (load_named_dataset("martin"), taus, 0.39, 8, 0, 1.0, 100)
-    evaluated = []
-    kernel = empirics._fit_point
-    monkeypatch.setattr(empirics, "_fit_point", lambda *a: evaluated.append(a) or kernel(*a))
+    kernel_taus, station_taus = _counted(monkeypatch)
     assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
-    assert len(evaluated) == len(taus)
+    # From tau = 3.514 the kernel cannot finish, and the reference path's
+    # n_max search overflows.
+    swept = taus[:len(empirics._sweep(taus, 0.39, 8, 1.0, 100))]
+    assert len(swept) == {3.51: 41, 3.52: 32, 3.54: 20}[hi]
+    assert set(swept) <= set(kernel_taus) | set(station_taus)
+
+
+@pytest.mark.parametrize("grid, count_limit, n_max, error, message", [
+    # Dense enough that its ends would certify every point between.
+    ([round(0.03 + i * 1e-5, 10) for i in range(50)] + [math.nan]
+     + [round(0.0305 + i * 1e-5, 10) for i in range(50)], 1520, 24, ValueError, "finite"),
+    ([round(0.03 + i * 1e-5, 10) for i in range(100)] + [math.inf], 1520, 24, ValueError, "finite"),
+    # n_max 12 cannot hold 700 particles at tau = 0.05, before the NaN.
+    ([0.03, 0.04, 0.05, math.nan, 0.07], 700, 12, InsufficientNMaxError, "n_max=12"),
+    # Eight particles keep one state, but from tau = 7.401 the energies of
+    # shells 0..40 cancel: the sweep carries no point past 7.4.
+    ([round(7.3 + i * 1e-3, 10) for i in range(201)], 8, 40, ValueError, "cancel at tau=7.401"),
+], ids=["nan inside", "inf last", "n_max before nan", "refused tail"])
+def test_fit_raises_at_the_first_non_finite_or_failing_point(grid, count_limit, n_max, error,
+                                                             message):
+    args = (load_named_dataset("martin"), grid, 0.39, count_limit, 0, 1.0, n_max)
+    outcome = _outcome(fit_tau, *args)
+    assert outcome == _outcome(_plain_fit, *args)
+    assert outcome[0] is error and message in outcome[1]
 
 
 @pytest.mark.parametrize("grid, primary_gap", [
@@ -623,8 +734,7 @@ def test_sweep_sees_a_gap_that_crosses_the_threshold_and_back(grid, primary_gap)
 
 def test_sweep_raises_at_the_first_point_that_needs_a_larger_n_max():
     # n_max 12 holds 700 particles completely only up to tau = 0.0491, and
-    # again above 0.0939.  The sweep visits later points first; the error is
-    # still that of the first failing point.
+    # again above 0.0939.  The error is that of the first failing point.
     taus = [round(0.02 + i * 1e-5, 10) for i in range(4001)]
     with pytest.raises(InsufficientNMaxError) as err:
         fit_tau(load_named_dataset("martin"), taus, 0.39, 700, n_max=12)

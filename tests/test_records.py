@@ -110,11 +110,20 @@ def test_level_messages_name_the_broken_rule():
         Level(2, 2, 0.0, 9)
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def _loaded_by_cli_import(modules):
     # -S keeps site hooks from importing modules on qshell's behalf.
     src = str(Path(qshell.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import qshell.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, check=True, timeout=60)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    assert _loaded_by_cli_import(("dataclasses", "inspect")) == "[]"
+
+
+def test_cli_import_loads_no_json_or_csv():
+    # Only --format json and --format csv need them.
+    assert _loaded_by_cli_import(("json", "csv")) == "[]"

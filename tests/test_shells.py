@@ -261,11 +261,9 @@ def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap
        start=st.integers(min_value=0, max_value=40))
 def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max, count_limit,
                                                                     gap, start):
-    # The cut is the kept count and the kept levels plus the two above them
-    # in energy order, the steps their adjacent differences and the margin
-    # floor - top kept, whatever shell bound the kernel starts at.  The
-    # column it cuts is a prefix of shells 0..n_max's that holds the shell
-    # above the start and above the prefix's highest shell, unless n_max ends it.
+    # The cut is the kept count and the kept levels plus the one above them
+    # in energy order, with the floor E(n_max + 1, n_max + 1) above the top
+    # kept level, whatever shell bound the kernel starts at.
     p = params(tau=tau, n_max=n_max)
     start = min(start, n_max)
     try:
@@ -275,21 +273,15 @@ def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max,
         return
     k = len(scheme.levels)
     levels = enumerate_levels(p)
-    prefix = sorted(levels, key=_energy_n_l)[:k + 2]
+    prefix = sorted(levels, key=_energy_n_l)[:k + 1]
     assert prefix[:k] == list(scheme.levels)
     index = {(n, l): i for i, (n, l) in enumerate(zip(*_shape(n_max)[:2]))}
-    energies = [lev.energy for lev in prefix]
-    steps = [b - a for a, b in zip(energies, energies[1:])]
     point = _fit_point(p, count_limit, gap, start)
-    assert point[:4] == (
+    assert point[:2] == (
         predicted_primary_magics(tau, gap, count_limit, 1.0, n_max),
         (k, tuple(index[lev.n, lev.l] for lev in prefix)),
-        steps,
-        energy(n_max + 1, n_max + 1, p) - energies[k - 1],
     )
-    assert point.highest == max(lev.n for lev in prefix)
-    assert point.energies == [lev.energy for lev in levels[:len(point.energies)]]
-    assert len(point.energies) >= len(_shape(min(max(start, point.highest) + 1, n_max))[0])
+    assert energy(n_max + 1, n_max + 1, p) > prefix[k - 1].energy
 
 
 @pytest.mark.parametrize("tau, n_max, count_limit, message", [

@@ -18,6 +18,7 @@ from qshell.spectrum import (
     _TOLERANCE,
     _drift_bounds,
     _energies_up_to,
+    _level_energy,
     _shape,
     _term_error,
 )
@@ -442,15 +443,16 @@ def _global_curvature_bound(n_max, hw, tau):
     second=st.integers(min_value=0),
 )
 def test_drift_bounds_hold(tau_hi, share, n_max, hw, first, second):
-    # S2[max n] + C2[max l] bounds the second derivative of the difference
-    # of two levels of shells 0..n_max + 1 at any tau <= tau_hi, and the top
-    # entries, the one bound of every pair, bound every level and every
-    # difference; eps bounds the rounding of those levels there.
-    shell2, casimir2, eps = _drift_bounds(n_max, hw)(tau_hi)
+    # At any tau <= tau_hi, |S2[n] - S2[n']| + |C2[l] - C2[l']|, with the
+    # caller's slack of 2^-40 times the entries, bounds the second derivative
+    # of the difference of two levels of shells 0..n_max + 1, and
+    # S_err[n] + C_err[l] the rounding of each level's energy; the top
+    # entries sum the terms of the one global bound.
+    shell2, casimir2, shell_error, casimir_error = _drift_bounds(n_max, hw)(tau_hi)
     m = shell2[-1] + casimir2[-1]
     assert m == pytest.approx(_global_curvature_bound(n_max, hw, tau_hi), rel=1e-12, abs=0)
-    assert len(shell2) == len(casimir2) == n_max + 2
-    assert shell2 == sorted(shell2) and casimir2 == sorted(casimir2)
+    for table in (shell2, casimir2, shell_error, casimir_error):
+        assert len(table) == n_max + 2 and table == sorted(table) and table[0] == 0.0
     tau = tau_hi * share
     ns, ls, _, _ = _shape(n_max + 1)
     a, b = first % len(ns), second % len(ns)
@@ -461,12 +463,30 @@ def test_drift_bounds_hold(tau_hi, share, n_max, hw, first, second):
         t = mpmath.mpf(tau)
         curvature_a = mpmath.diff(level(a), t, 2)
         curvature_b = mpmath.diff(level(b), t, 2)
-        pair = shell2[max(ns[a], ns[b])] + casimir2[max(ls[a], ls[b])]
-        assert abs(curvature_a) <= shell2[ns[a]] + casimir2[ls[a]] <= m
-        assert abs(curvature_a - curvature_b) <= pair <= m
+        (na, la), (nb, lb) = (ns[a], ls[a]), (ns[b], ls[b])
+        pair = (abs(shell2[na] - shell2[nb]) + abs(casimir2[la] - casimir2[lb])
+                + 2.0 ** -40 * (shell2[na] + shell2[nb] + casimir2[la] + casimir2[lb]))
+        assert abs(curvature_a - curvature_b) <= pair <= 2 * m
+        assert abs(curvature_a) <= shell2[na] + casimir2[la]  # against E(0, 0) = 0
         energies, floor = _energies_up_to(params(tau, hw, n_max), n_max)
         # Shells 0..n_max keep their table index; shell n_max + 1 is the floor.
         for i in (a, b):
-            value = energies[i] if ns[i] <= n_max else floor
             if ls[i] == ns[i] or ns[i] <= n_max:
-                assert abs(value - level(i)(t)) <= eps, (ns[i], ls[i])
+                value = energies[i] if ns[i] <= n_max else floor
+                assert abs(value - level(i)(t)) <= shell_error[ns[i]] + casimir_error[ls[i]]
+
+
+@settings(deadline=None)
+@given(tau=st.one_of(st.floats(min_value=1e-9, max_value=1.0), st.floats(min_value=1.0, max_value=8.0)),
+       hw=st.one_of(st.just(1.0), st.just(1.7), st.floats(min_value=1e-3, max_value=1e3)),
+       n_max=st.integers(min_value=1, max_value=60))
+def test_level_energy_is_the_column_bit_for_bit(tau, hw, n_max):
+    # One level at a time, the sweep's stations see the kernel's floats.
+    try:
+        energies, floor = _energies_up_to(params(tau, hw, n_max), n_max)
+    except ValueError:
+        return
+    level = _level_energy(tau, hw)
+    ns, ls, _, _ = _shape(n_max)
+    assert [level(n, l) for n, l in zip(ns, ls)] == energies
+    assert level(n_max + 1, n_max + 1).hex() == floor.hex()  # nan too, where it overflows
