@@ -12,7 +12,7 @@ import os
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import count, takewhile
+from itertools import count, islice, takewhile
 
 from .empirics import (
     DatasetParseError,
@@ -188,9 +188,12 @@ def _level_count(n_max: int) -> int:
 
 @lru_cache(maxsize=1)  # parse_args checks the grid that fit then scans
 def _expand_grid(grid: tuple[float, float, float]) -> tuple[float, ...]:
+    # Within the (hi - lo) / step cap, rising points pass hi by ten steps at
+    # most; points that stall under rounding repeat or round to 0, which
+    # _parse_grid_spec refuses, long before twice the cap.
     lo, hi, step = grid
     taus = (round(lo + i * step, 10) for i in count())
-    return tuple(takewhile(lambda tau: tau <= hi + 1e-9, taus))
+    return tuple(islice(takewhile(lambda tau: tau <= hi + 1e-9, taus), 2 * MAX_GRID_POINTS))
 
 
 def _config_dict(config: RunConfig) -> dict:

@@ -22,7 +22,7 @@ from itertools import accumulate, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from .qmath import DeformationParameter
+from .qmath import DeformationParameter, _Record
 from .shells import _fit_point, build_scheme
 from .spectrum import ModelParameters, _drift_bounds, _energies_up_to, _level_energy, _shape
 
@@ -70,7 +70,7 @@ class DatasetValidationError(ValueError):
     """Structurally valid lines forming an invalid dataset."""
 
 
-class ObservedMagic(namedtuple("ObservedMagic", "value uncertainty parenthesized")):
+class ObservedMagic(_Record, namedtuple("ObservedMagic", "value uncertainty parenthesized")):
     """One observed magic number, its ± window, and whether it is tentative."""
 
     __slots__ = ()
@@ -82,12 +82,8 @@ class ObservedMagic(namedtuple("ObservedMagic", "value uncertainty parenthesized
             raise ValueError(f"uncertainty must be in [0, value], got ±{uncertainty!r}")
         return tuple.__new__(cls, (value, uncertainty, parenthesized))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
-
-class ExperimentalDataset(namedtuple("ExperimentalDataset", "source entries")):
+class ExperimentalDataset(_Record, namedtuple("ExperimentalDataset", "source entries")):
     """Observed magic numbers from one source, strictly increasing in value."""
 
     __slots__ = ()
@@ -102,10 +98,6 @@ class ExperimentalDataset(namedtuple("ExperimentalDataset", "source entries")):
                     f"got {a.value} then {b.value}"
                 )
         return tuple.__new__(cls, (source, entries))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def values(self, include_paren: bool = True) -> list[int]:
         return [e.value for e in self.entries if include_paren or not e.parenthesized]
@@ -362,7 +354,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     neighbours are in order, is repaired in place; any other change goes to
     _fit_point, which walks the grid until two untied points agree.
     """
-    levels, floor, index = list(zip(*_shape(n_max)[:2])), (n_max + 1, n_max + 1), {}  # by index
+    levels, floor = list(zip(*_shape(n_max)[:2])), (n_max + 1, n_max + 1)  # by index
+    index = {level: x for x, level in enumerate(levels)}
 
     def refused(i):
         try:
@@ -372,8 +365,12 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             return True
 
     # The sweep ends at the first non-finite or refused point; refusal rises with tau.
-    stop, ends = [*map(math.isfinite, grid), False].index(False), []
+    stop = [*map(math.isfinite, grid), False].index(False)
+    stop = bisect_left(range(stop), True, key=refused) if refused(stop - 1) else stop
     bounds_at, rise = _drift_bounds(n_max, hbar_omega0), math.log(2) / (2 * n_max + 2)
+    ends = [-1]  # the last index of each rung, over which the bounds about double
+    while ends[-1] < stop - 1:
+        ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise, 0, stop) - 1, ends[-1] + 1))
     tables = lru_cache(None)(lambda rung: bounds_at(grid[ends[rung]]))
     states, shells = [None] * stop, n_max
 
@@ -386,14 +383,6 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         return point
 
     def carry(i, point):  # from i + 1 to the first station the kernel takes, or stop
-        nonlocal stop
-        if not ends:  # the first carry cuts the refused tail
-            index.update((level, x) for x, level in enumerate(levels))
-            stop = bisect_left(range(stop), True, key=refused) if refused(stop - 1) else stop
-            ends.append(-1)  # the last index of each rung, over which the bounds about double
-            while ends[-1] < stop - 1:
-                ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise, 0, stop) - 1,
-                                ends[-1] + 1))
         k, order = point.cut[0], [levels[x] for x in point.cut[1]]
         live, heap, above = {}, [], set()  # pair of (n, l) -> [tau, value, last index, kind]
 

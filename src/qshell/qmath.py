@@ -7,6 +7,9 @@ The single primitive here is the q-bracket
 which with q = e^tau is the ratio sinh(tau*x)/sinh(tau).  The closed
 form is used directly instead of exponential differences, which would
 cancel catastrophically for small tau.
+
+_Record is the base of the package's validating named tuples: each checks
+its fields in __new__, and _make, and so _replace, build through it.
 """
 
 import math
@@ -18,7 +21,17 @@ __all__ = [
 ]
 
 
-class DeformationParameter(namedtuple("DeformationParameter", "tau")):
+class _Record:
+    """Mixed in before a namedtuple: _make, and so _replace, go through __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class DeformationParameter(_Record, namedtuple("DeformationParameter", "tau")):
     """A deformation tau, with q = e^tau.
 
     tau = 0 is always legal and means the undeformed (classical) limit.
@@ -32,10 +45,6 @@ class DeformationParameter(namedtuple("DeformationParameter", "tau")):
         if not math.isfinite(value):
             raise ValueError(f"tau must be finite, got {tau!r}")
         return tuple.__new__(cls, (value,))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def q_bracket(x: float, d: DeformationParameter) -> float:

@@ -28,6 +28,7 @@ from functools import partial
 from itertools import accumulate, takewhile
 from operator import ge
 
+from .qmath import _Record
 from .spectrum import Level, ModelParameters, _energies_up_to, _shape, energy, enumerate_levels
 
 __all__ = [
@@ -54,7 +55,7 @@ class MagicGrade(Enum):
     SECONDARY = "secondary"
 
 
-class MagicRecord(namedtuple("MagicRecord", "after_level gap count grade")):
+class MagicRecord(_Record, namedtuple("MagicRecord", "after_level gap count grade")):
     """A shell closure after a level: its gap, cumulative count and grade."""
 
     __slots__ = ()
@@ -66,12 +67,8 @@ class MagicRecord(namedtuple("MagicRecord", "after_level gap count grade")):
             raise ValueError(f"count must be positive, got {count!r}")
         return tuple.__new__(cls, (after_level, gap, count, grade))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
-
-class LevelScheme(namedtuple("LevelScheme", "levels cumulative params")):
+class LevelScheme(_Record, namedtuple("LevelScheme", "levels cumulative params")):
     """Levels in ascending energy order with running occupancy totals."""
 
     __slots__ = ()
@@ -92,10 +89,6 @@ class LevelScheme(namedtuple("LevelScheme", "levels cumulative params")):
             if cum != total:
                 raise ValueError(f"cumulative total {cum} != running sum {total}")
         return tuple.__new__(cls, (levels, cumulative, params))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 FitPoint = namedtuple("FitPoint", "primaries cut tied")

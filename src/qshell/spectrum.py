@@ -13,18 +13,19 @@ A shell n splits into levels l = n, n-2, ..., 1 or 0, each holding
 2(2l+1) particles.  The small-tau expansion (energy_taylor) is provided
 alongside the exact formula.
 
-energy() evaluates one level.  _energies_up_to() evaluates the energy
+_level_energy is the one per-level copy of the formula's float operations.
+energy() evaluates one level through it after its checks, and so do the
+fit's sweep and the next shell's lowest energy, which decides whether a
+truncated scheme is complete.  _energies_up_to() evaluates the energy
 column of a whole scheme as a per-tau table: the brackets [k] =
 sinh(tau k)/sinh(tau), q and q tanh(tau) once per tau, [n] q^(n+1) once
 per shell and q tanh(tau) [l][l+1] once per l, so each level costs one
-difference and one product.  It uses the same float operations in the
-same order as energy(), so both give bit-identical energies (the CSV and
-JSON output print repr(energy)), and it also returns the next shell's
-lowest energy, which decides whether a truncated scheme is complete.
-Both refuse a tau where the two terms cancel to more than a relative
-1e-6 of rounding (above tau of about 8).  For the fit's sweep, _level_energy
-evaluates single levels with the column's operations, and _drift_bounds
-bounds the curvature of level differences and the rounding of each level.
+difference and one product, in _level_energy's order of operations: the
+column and energy() agree bit for bit (the CSV and JSON output print
+repr(energy)).  Both refuse a tau where the two terms overflow or cancel
+to more than a relative 1e-6 of rounding (above tau of about 8).
+_drift_bounds bounds, for the sweep, the curvature of level differences
+and the rounding of each level.
 The levels follow the tau-independent (n, l, 2(2l+1)) shape of the
 table, cached and checked against Level's rules once per n_max, so
 enumerate_levels() makes its Level records without checking them again.
@@ -37,7 +38,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
 
-from .qmath import DeformationParameter, q_bracket
+from .qmath import DeformationParameter, _Record, q_bracket
 
 __all__ = [
     "Level",
@@ -66,7 +67,7 @@ def _check_branching(n: int, l: int) -> None:
         )
 
 
-class Level(namedtuple("Level", "n l energy degeneracy")):
+class Level(_Record, namedtuple("Level", "n l energy degeneracy")):
     """One (n, l) eigenstate: energy in hbar*omega0 units, capacity 2(2l+1)."""
 
     __slots__ = ()
@@ -79,12 +80,8 @@ class Level(namedtuple("Level", "n l energy degeneracy")):
             raise ValueError(f"degeneracy {degeneracy} != 2(2l+1) = {2 * (2 * l + 1)}")
         return _tuple_new(cls, (n, l, energy, degeneracy))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
-
-class ModelParameters(namedtuple("ModelParameters", "deformation hbar_omega0 n_max")):
+class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_omega0 n_max")):
     """A deformation with its energy scale and shell enumeration bound."""
 
     __slots__ = ()
@@ -102,10 +99,6 @@ class ModelParameters(namedtuple("ModelParameters", "deformation hbar_omega0 n_m
         if deformation.tau < 0:
             raise ValueError(f"tau must be >= 0, got {deformation.tau!r}")
         return _tuple_new(cls, (deformation, hbar_omega0, n_max))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def allowed_l(n: int) -> list[int]:
@@ -127,20 +120,18 @@ def energy(n: int, l: int, p: ModelParameters) -> float:
 
     At tau = 0 this returns hbar_omega0 * n exactly, with no division, and
     E(0, 0), whose two terms are 0, is 0 at every tau.  Raises ValueError
-    where the two terms cancel, as _energies_up_to does for the column
-    whose next-shell floor is shell n.
+    where the two terms cancel or overflow, as _energies_up_to does for the
+    column whose next-shell floor is shell n.
     """
     _check_branching(n, l)
-    d = p.deformation
-    tau = d.tau
+    tau = p.deformation.tau
     if tau == 0.0 or n == 0:
         return p.hbar_omega0 * n
-    q = math.exp(tau)
-    _check_rounding(tau, q, n - 1, (n, l))
-    return p.hbar_omega0 * (
-        q_bracket(n, d) * q ** (n + 1)
-        - q * math.tanh(tau) * casimir_eigenvalue(l, d)
-    )
+    try:
+        _check_rounding(tau, math.exp(tau), n - 1, (n, l))
+        return _level_energy(tau, p.hbar_omega0)(n, l)
+    except OverflowError:
+        raise _overflow(p, n) from None
 
 
 def energy_taylor(n: int, l: int, p: ModelParameters, order: int) -> float:
@@ -248,9 +239,7 @@ def _energies_up_to(p: ModelParameters, n_hi: int,
         if not math.isfinite(hbar_omega0 * n_hi):
             raise _overflow(p, n_hi)
         return [hbar_omega0 * n for n in ns], hbar_omega0 * (n_hi + 1)
-    # The same operations as q_bracket, q_bracket * q ** (n + 1) and
-    # q * tanh(tau) * casimir_eigenvalue in energy().
-    try:
+    try:  # _level_energy's operations, the per-level copy, shared per shell and per l
         sinh_tau = math.sinh(tau)
         bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
         q = math.exp(tau)
@@ -263,19 +252,16 @@ def _energies_up_to(p: ModelParameters, n_hi: int,
     # no energy exceeds this one in magnitude.
     if not math.isfinite(hbar_omega0 * (shell[n_hi] + casimir[n_hi])):
         raise _overflow(p, n_hi)
-    m = n_hi + 1
     try:
-        bracket_above = math.sinh(tau * (m + 1)) / sinh_tau
-        floor = hbar_omega0 * (bracket[m] * q ** (m + 1)
-                               - casimir_coeff * (bracket[m] * bracket_above))
+        floor = _level_energy(tau, hbar_omega0)(n_hi + 1, n_hi + 1)
     except OverflowError:
-        raise _overflow(p, m) from None
+        raise _overflow(p, n_hi + 1) from None
     _check_rounding(tau, q, n_hi)
     return [hbar_omega0 * (shell[n] - casimir[l]) for n, l in zip(ns, ls)], floor
 
 
 def _level_energy(tau: float, hbar_omega0: float):
-    """(n, l) -> the energy _energies_up_to gives (n, l) at tau > 0, bit for bit; the floor too."""
+    """(n, l) -> E(n, l) at tau > 0, unchecked; each level of _energies_up_to's column bit for bit."""
     sinh, sinh_tau, q = math.sinh, math.sinh(tau), math.exp(tau)
     casimir_coeff = q * math.tanh(tau)
     return lambda n, l: hbar_omega0 * (sinh(tau * n) / sinh_tau * q ** (n + 1) - casimir_coeff * (

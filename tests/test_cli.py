@@ -10,6 +10,7 @@ from qshell import cli
 from qshell.cli import (
     MAX_COUNT_LIMIT,
     MAX_FIT_LEVELS,
+    MAX_GRID_POINTS,
     MAX_N_MAX,
     RunConfig,
     _expand_grid,
@@ -91,6 +92,8 @@ def test_fit_grid_parsing():
         ["fit", "--dataset", "martin", "--n-max", "200", "--count-limit", "1000000",
          "--grid", "0.02:2:0.00002"],
         ["fit", "--dataset", "martin", "--n-max", "199", "--grid", "0.001:1:0.001"],
+        ["fit", "--dataset", "martin", "--grid", "0.02:0.02:1e-20"],
+        ["fit", "--dataset", "martin", "--grid", "1e-300:1e-299:1e-300"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -147,6 +150,15 @@ def test_subnormal_hbar_omega0_is_a_usage_error(value, capsys):
     assert err.value.code == 2
     assert "--hbar-omega0" in capsys.readouterr().err
     assert parse_args(["levels", "--hbar-omega0", repr(sys.float_info.min)]).hbar_omega0 > 0
+
+
+def test_grid_expansion_is_bounded_and_keeps_accepted_grids():
+    # Points that stall under rounding used to expand until memory ran out;
+    # a grid whose points rise keeps every point, even past the 1e-9 of hi.
+    assert len(_expand_grid((0.02, 0.02, 1e-20))) == 2 * MAX_GRID_POINTS
+    config = parse_args(["fit", "--dataset", "martin", "--n-max", "1",
+                         "--grid", "0.1:0.1000099994:1e-10"])
+    assert len(_expand_grid(config.tau_grid)) == MAX_GRID_POINTS + 5
 
 
 def test_grid_rounding_to_tau_zero_is_a_usage_error(capsys):

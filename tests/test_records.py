@@ -15,7 +15,7 @@ from qshell.empirics import (
     MatchReport,
     ObservedMagic,
 )
-from qshell.qmath import DeformationParameter
+from qshell.qmath import DeformationParameter, _Record
 from qshell.shells import LevelScheme, MagicGrade, MagicRecord
 from qshell.spectrum import InvalidLevelError, Level, ModelParameters
 
@@ -76,6 +76,13 @@ def test_replace_and_make_validate(record, change, error):
         type(record)._make(values)
     with pytest.raises(error):
         type(record)(*values)
+
+
+def test_validating_records_share_the_record_base():
+    validating = {type(record) for record, _, _ in INVALID_CHANGES}
+    assert len(validating) == 7
+    for cls in validating:
+        assert issubclass(cls, _Record) and "_make" not in vars(cls), cls
 
 
 @pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda r: type(r).__name__)

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qshell.qmath import DeformationParameter
+from qshell.qmath import DeformationParameter, q_bracket
 from qshell.spectrum import (
     InvalidLevelError,
     Level,
@@ -114,6 +114,21 @@ def test_energy_matches_exponential_form():
                 qb = lambda x: (q**x - q**-x) / (q - 1 / q)
                 direct = qb(n) * q ** (n + 1) - q * (q - 1 / q) / qb(2) * qb(l) * qb(l + 1)
                 assert energy(n, l, p) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+
+@given(
+    tau=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    hw=st.sampled_from([1.0, 1.7, 0.3, 41.0, 1e-3]),
+    n=st.integers(min_value=0, max_value=40),
+    pick=st.integers(min_value=0),
+)
+def test_energy_is_the_q_bracket_formula_bit_for_bit(tau, hw, n, pick):
+    # The public q-bracket pieces stay the formula that energy() evaluates.
+    l = allowed_l(n)[pick % (n // 2 + 1)]
+    d = DeformationParameter(tau)
+    q = math.exp(tau)
+    reference = hw * (q_bracket(n, d) * q ** (n + 1) - q * math.tanh(tau) * casimir_eigenvalue(l, d))
+    assert energy(n, l, params(tau, hw)).hex() == reference.hex()
 
 
 @given(
@@ -258,23 +273,18 @@ def test_enumerate_levels_is_bitwise_energy(tau, hw, n_max):
                  st.floats(min_value=1e300, max_value=1e308)),
     n_hi=st.integers(min_value=1, max_value=40),
 )
-@example(tau=300.0, hw=1.0, n_hi=1)  # energy(2, 2) raises OverflowError
+@example(tau=300.0, hw=1.0, n_hi=1)  # the column refuses: its floor, shell 2, overflows
 @example(tau=8.096, hw=1.0, n_hi=1)  # shells 0..1 are accepted, a bound for 0..2 would refuse
 def test_next_shell_floor_is_bitwise_energy(tau, hw, n_hi):
-    # build_scheme's completeness floor: energy() of level (n_hi + 1, n_hi + 1),
-    # with an OverflowError read as inf.  Between tau = 6 and 9 the column
-    # starts to refuse cancelling energies; energy() never refuses the
-    # floor of a column that was accepted.
+    # build_scheme's completeness floor: energy() of level (n_hi + 1, n_hi + 1).
+    # Between tau = 6 and 9 the column starts to refuse cancelling energies;
+    # energy() never refuses the floor of a column that was accepted.
     p = params(tau, hw, n_hi)
     try:
         _, floor = _energies_up_to(p, n_hi)
     except ValueError:  # the table itself overflows
         return
-    try:
-        expected = energy(n_hi + 1, n_hi + 1, p)
-    except OverflowError:
-        expected = math.inf
-    assert floor.hex() == expected.hex()
+    assert floor.hex() == energy(n_hi + 1, n_hi + 1, p).hex()
 
 
 def test_enumerate_levels_counts_and_capacity():
@@ -409,6 +419,18 @@ def test_energy_refuses_cancelling_terms(n):
     # At tau = 20, E(1, 1) = 1 and E(2, 2) ~ 2.4e17 both evaluated to 0.0.
     with pytest.raises(ValueError, match=rf"E\({n}, {n}\) cancel at tau=20\.0"):
         energy(n, n, params(20.0))
+
+
+@pytest.mark.parametrize("n, l, tau", [(1000, 0, 1.0), (1000, 1000, 1.0), (3, 1, 1000.0)])
+def test_energy_refuses_overflowing_terms(n, l, tau):
+    # As the column of shells 0..n does; energy(1000, 0) used to raise a bare
+    # OverflowError from q ** 1001.
+    p = params(tau, n_max=n)
+    message = rf"energies of shells 0\.\.{n} overflow a float at tau={tau!r}"
+    with pytest.raises(ValueError, match=message):
+        energy(n, l, p)
+    with pytest.raises(ValueError, match=message):
+        _energies_up_to(p, n)
 
 
 @pytest.mark.parametrize("tau", [8.2, 9.0, 20.0, 1000.0])
