@@ -6,6 +6,7 @@ configuration is byte-identical across runs.
 """
 
 import argparse
+import gc
 import io
 import math
 import os
@@ -49,7 +50,7 @@ MAX_COUNT_LIMIT = 1_000_000
 # 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
 # microseconds per level, so this bounds a fit to a few seconds; the
 # 4001-point fine grid at the defaults is 676169.  The fit's event sweep
-# runs the kernel at 8 of those 4001 points (with 652 stations), but where
+# runs the kernel at 8 of those 4001 points (with 680 stations), but where
 # levels cross at every point it runs it at each, so the cap is on points.
 MAX_FIT_LEVELS = 10_000_000
 
@@ -142,6 +143,8 @@ def _parse_grid_spec(parser: argparse.ArgumentParser, spec: str) -> tuple[float,
         parser.error(f"--grid {spec!r} starts at a point that rounds to tau = 0 (10 decimals)")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         parser.error(f"--grid {spec!r} has points that round to the same tau (10 decimals)")
+    if len(taus) > MAX_GRID_POINTS:  # points up to hi + 1e-9 may pass the estimate above
+        parser.error(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
     return lo, hi, step
 
 
@@ -313,7 +316,8 @@ def _cmd_fit(config: RunConfig) -> str:
     result = fit_tau(dataset, taus, config.primary_gap, config.count_limit, config.slack,
                      config.hbar_omega0, config.n_max)
     if config.format == "text":
-        lines = [f"tau {tau:.6f} f1 {score:.6f}" for tau, score in result.grid]
+        f1 = {score: f"{score:.6f}" for _, score in result.grid}  # few distinct scores
+        lines = [f"tau {tau:.6f} f1 {f1[score]}" for tau, score in result.grid]
         lines.append(f"best tau {result.tau_best:.6f} f1 {result.score_best:.6f}")
         return "\n".join(lines) + "\n"
     return _emit(config, ("tau", "f1"), result.grid, {
@@ -354,5 +358,7 @@ def run(config: RunConfig, out=None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-    return run(config)
+    status = run(parse_args(sys.argv[1:] if argv is None else argv))
+    if argv is None:  # a process about to exit: its final collections skip what is alive now
+        gc.freeze()
+    return status

@@ -13,14 +13,14 @@ distinct magic list once.
 """
 
 import math
+import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from operator import itemgetter
-from pathlib import Path
 
 from .qmath import DeformationParameter, _Record
 from .shells import _fit_point, build_scheme
@@ -149,10 +149,6 @@ def bundled_dataset_names() -> tuple[str, ...]:
     return BUNDLED_DATASETS
 
 
-def _is_bare_name(spec: str) -> bool:
-    return not ("/" in spec or "\\" in spec or spec.endswith(".txt"))
-
-
 def load_named_dataset(spec: str, data_dir: str | None = None) -> ExperimentalDataset:
     """Load a dataset by bundled name or by explicit file path.
 
@@ -163,22 +159,20 @@ def load_named_dataset(spec: str, data_dir: str | None = None) -> ExperimentalDa
     bundled falls back to a local file of that name.  Anything else is a
     file path.
     """
-    if _is_bare_name(spec):
+    path = spec
+    if not ("/" in spec or "\\" in spec or spec.endswith(".txt")):  # a bare name
         if data_dir is not None:
-            path = Path(data_dir) / f"{spec}.txt"
-            return load_dataset(path.read_text(encoding="utf-8"), source=spec)
-        if spec in BUNDLED_DATASETS:
-            from importlib import resources  # only bundled lookups need it
-
-            text = (resources.files("qshell") / "data" / f"{spec}.txt").read_text(
-                encoding="utf-8"
-            )
-            return load_dataset(text, source=spec)
-        if not Path(spec).is_file():
+            path = os.path.join(data_dir, f"{spec}.txt")
+        elif spec in BUNDLED_DATASETS:  # installed beside this module
+            path = os.path.join(os.path.dirname(__file__), "data", f"{spec}.txt")
+        elif not os.path.isfile(spec):
             known = ", ".join(BUNDLED_DATASETS)
             raise FileNotFoundError(f"unknown dataset {spec!r}; bundled datasets: {known}")
-    path = Path(spec)
-    return load_dataset(path.read_text(encoding="utf-8"), source=path.stem)
+    root = re.match("/*", path).group()  # spelled as pathlib spells it, as errors quote it:
+    parts = [part for part in path.split("/") if part not in ("", ".")]  # no empty or "." parts
+    path = (root if len(root) == 2 else root[:1]) + "/".join(parts) or "."
+    with open(path, encoding="utf-8") as file:  # the source is pathlib's stem of the name
+        return load_dataset(file.read(), source=re.sub(r"(?s)(?<=.)\.[^.]+\Z", "", parts[-1]))
 
 
 def match_magics(
@@ -272,7 +266,7 @@ def fit_tau(
     so derivative-free search over an explicit grid is the right tool.
     Ties keep the smallest tau.  The trace equals evaluating every grid
     point, but _sweep runs the kernel at few of them (8 of the 4001 points
-    of 0.02:0.06:0.00001 at the defaults, with 652 stations).
+    of 0.02:0.06:0.00001 at the defaults, with 680 stations).
     """
     grid = [float(t) for t in tau_grid]
     if not grid:
@@ -287,13 +281,14 @@ def fit_tau(
     first = tuple(predicted_primary_magics(grid[0], primary_gap, count_limit, hbar_omega0, n_max))
     scores = {first: match_magics(first, ds, slack=slack, include_paren=False).f1}
     states = _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max)
+    tail = ((tuple(predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max)),)
+            for tau in grid[len(states):])  # past the sweep's points, the reference path raises
     trace = []
-    for i, tau in enumerate(grid):  # past the sweep's points, the reference path raises
-        predicted = states[i][0] if i < len(states) else tuple(
-            predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max))
+    for (predicted, *_), run in groupby(chain(states, tail)):  # a carried run shares one state
         if predicted not in scores:
             scores[predicted] = match_magics(predicted, ds, slack=slack, include_paren=False).f1
-        trace.append((tau, scores[predicted]))
+        start = len(trace)
+        trace += zip(grid[start:start + len(list(run))], repeat(scores[predicted]))
     tau_best, score_best = max(trace, key=itemgetter(1))  # the first, so the smallest tau
     return FitResult(tau_best, score_best, tuple(trace))
 
@@ -352,7 +347,10 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     certificate, evaluates the expired ones alone.  A kept gap crossing
     primary_gap, or a swap of two kept levels (ties order by n, l) whose new
     neighbours are in order, is repaired in place; any other change goes to
-    _fit_point, which walks the grid until two untied points agree.
+    _fit_point, which walks the grid until two untied points agree.  A
+    certificate depends on its pair and thresholds alone, so the next carried
+    state keeps each that reaches it on a pair of the same kind, as kinetic
+    data structures do (Basch, Guibas and Hershberger, SODA 1997).
     """
     levels, floor = list(zip(*_shape(n_max)[:2])), (n_max + 1, n_max + 1)  # by index
     index = {level: x for x, level in enumerate(levels)}
@@ -373,6 +371,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise, 0, stop) - 1, ends[-1] + 1))
     tables = lru_cache(None)(lambda rung: bounds_at(grid[ends[rung]]))
     states, shells = [None] * stop, n_max
+    live, heap, above = {}, [], set()  # pair -> [tau, value, last index (-1 expired), kind]
 
     @lru_cache(None)
     def kernel(i):  # from the highest shell of the last prefix, at its largest index
@@ -383,8 +382,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         return point
 
     def carry(i, point):  # from i + 1 to the first station the kernel takes, or stop
+        nonlocal live, heap
         k, order = point.cut[0], [levels[x] for x in point.cut[1]]
-        live, heap, above = {}, [], set()  # pair of (n, l) -> [tau, value, last index, kind]
 
         def adjacent(lo, hi):  # pair -> kind: True a kept gap, else False (an outsider: None)
             pairs = {(order[j], order[j + 1]): j < k - 1
@@ -413,13 +412,15 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             _, _, shell_error, casimir_error = tables(bisect_left(ends, s))
             return 2 * (shell_error[x[0]] + casimir_error[x[1]])
 
-        outsiders, inside = {}, set(order)
+        pairs, inside = adjacent(0, k + 1), set(order)
         for n in range(n_max + 1 if len(order) > k else 0):
             outside = [(n, l) for l in range(n, -1, -2) if (n, l) not in inside][:1]
-            outsiders.update(((order[k], x), None) for x in outside)
+            pairs.update(((order[k], x), None) for x in outside)
             if outside == [(n, n)]:
                 break
-        start(i + 1, adjacent(0, k + 1) | outsiders)
+        live = {p: rec for p, rec in live.items() if pairs.get(p, 0) is rec[3] and rec[2] > i}
+        heap = sorted((rec[2], p) for p, rec in live.items())  # a sorted list is a heap
+        start(i + 1, {pair: kind for pair, kind in pairs.items() if pair not in live})
         since, state = i + 1, (tuple(point.primaries), point.cut)
         while (s := min(heap[0][0] + 1, stop)) < stop:
             energy, expired, bad, changed = _level_energy(grid[s], hbar_omega0), [], [], False
@@ -427,7 +428,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
                 last, pair = heappop(heap)
                 rec = live.get(pair)
                 if rec and rec[2] == last:  # live, and not popped yet at this station
-                    rec[2], v = None, energy(*pair[1]) - energy(*pair[0])
+                    rec[2], v = -1, energy(*pair[1]) - energy(*pair[0])
                     expired.append((pair, rec, v))
                     if not (0 < v or in_order(*pair, energy)) or v <= margin(pair[1], rec[3]):
                         bad.append(pair)

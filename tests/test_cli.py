@@ -1,8 +1,13 @@
 import csv
+import gc
+import gzip
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +99,10 @@ def test_fit_grid_parsing():
         ["fit", "--dataset", "martin", "--n-max", "199", "--grid", "0.001:1:0.001"],
         ["fit", "--dataset", "martin", "--grid", "0.02:0.02:1e-20"],
         ["fit", "--dataset", "martin", "--grid", "1e-300:1e-299:1e-300"],
+        # Within the (hi - lo) / step estimate, but points up to hi + 1e-9
+        # expand them to 100005 and 100001 points.
+        ["fit", "--dataset", "martin", "--n-max", "1", "--grid", "0.1:0.1000099994:1e-10"],
+        ["fit", "--dataset", "martin", "--n-max", "1", "--grid", "0.1:0.100099999:1e-9"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -154,11 +163,14 @@ def test_subnormal_hbar_omega0_is_a_usage_error(value, capsys):
 
 def test_grid_expansion_is_bounded_and_keeps_accepted_grids():
     # Points that stall under rounding used to expand until memory ran out;
-    # a grid whose points rise keeps every point, even past the 1e-9 of hi.
+    # a grid whose points rise keeps every point, even past the 1e-9 of hi,
+    # and the cap is on those points: 100000 pass, 100001 do not.
     assert len(_expand_grid((0.02, 0.02, 1e-20))) == 2 * MAX_GRID_POINTS
-    config = parse_args(["fit", "--dataset", "martin", "--n-max", "1",
-                         "--grid", "0.1:0.1000099994:1e-10"])
-    assert len(_expand_grid(config.tau_grid)) == MAX_GRID_POINTS + 5
+    assert len(_expand_grid((0.1, 0.1000099994, 1e-10))) == MAX_GRID_POINTS + 5
+    argv = ["fit", "--dataset", "martin", "--n-max", "1", "--grid"]
+    assert len(_expand_grid(parse_args(argv + ["0.1:0.1000099989:1e-10"]).tau_grid)) == 100_000
+    with pytest.raises(SystemExit):
+        parse_args(argv + ["0.1:0.100009999:1e-10"])
 
 
 def test_grid_rounding_to_tau_zero_is_a_usage_error(capsys):
@@ -433,3 +445,47 @@ def test_runs_are_reproducible():
     for config in (RunConfig("magics"), RunConfig("levels", format="csv"),
                    RunConfig("export", format="json")):
         assert capture(config) == capture(config)
+
+
+# ---------------------------------------------------------- process entry point
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+def _process(*args):
+    # A fresh interpreter on these sources; there main(None) freezes the
+    # collector before the process exits.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["magics"], "cli-mix/magics.out"),
+    (["fit", "--dataset", "martin", "--grid", "0.02:0.06:0.00001"], "fit-fine/martin.out.gz"),
+])
+def test_process_output_is_the_golden(argv, golden):
+    proc = _process("-m", "qshell", *argv)
+    expected = (GOLDEN / golden).read_bytes()
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (gzip.decompress(expected) if golden.endswith(".gz") else expected)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["compare", "--dataset", "no-such-name"], 1),
+    (["fit", "--dataset", "martin", "--grid", "0.02:0.06"], 2),
+])
+def test_process_exit_codes(argv, status):
+    proc = _process("-m", "qshell", *argv)
+    assert (proc.returncode, proc.stdout) == (status, b"")
+    assert b"qshell: error: " in proc.stderr
+
+
+def test_only_a_process_entry_point_freezes_the_collector(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["magics"]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+    code = ("import gc, sys; from qshell.cli import main; status = main(); "
+            "print(gc.get_freeze_count() > 0, file=sys.stderr); raise SystemExit(status)")
+    proc = _process("-c", code, "magics")
+    assert (proc.returncode, proc.stderr) == (0, b"True\n")

@@ -117,10 +117,10 @@ def test_level_messages_name_the_broken_rule():
         Level(2, 2, 0.0, 9)
 
 
-def _loaded_by_cli_import(modules):
+def _loaded_by_cli_import(modules, then="None"):
     # -S keeps site hooks from importing modules on qshell's behalf.
     src = str(Path(qshell.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import qshell.cli; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qshell.cli; {then}; "
             f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, check=True, timeout=60)
@@ -134,3 +134,10 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 def test_cli_import_loads_no_json_or_csv():
     # Only --format json and --format csv need them.
     assert _loaded_by_cli_import(("json", "csv")) == "[]"
+
+
+def test_cli_import_loads_no_pathlib():
+    # Datasets are read through open and os.path, bundled ones too.
+    assert _loaded_by_cli_import(("pathlib",)) == "[]"
+    assert _loaded_by_cli_import(("pathlib", "importlib.resources"),
+                                 then="qshell.empirics.load_named_dataset('martin')") == "[]"
