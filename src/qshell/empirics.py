@@ -357,8 +357,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
 
     def refused(i):
         try:
-            return not _energies_up_to(
-                ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max), n_max, 0)
+            return not _energies_up_to(  # a pair, so never empty
+                ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max), n_max)
         except ValueError:
             return True
 
@@ -370,16 +370,13 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     while ends[-1] < stop - 1:
         ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise, 0, stop) - 1, ends[-1] + 1))
     tables = lru_cache(None)(lambda rung: bounds_at(grid[ends[rung]]))
-    states, shells = [None] * stop, n_max
+    states = [None] * stop
     live, heap, above = {}, [], set()  # pair -> [tau, value, last index (-1 expired), kind]
 
     @lru_cache(None)
-    def kernel(i):  # from the highest shell of the last prefix, at its largest index
-        nonlocal shells
-        point = _fit_point(ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max),
-                           count_limit, primary_gap, shells)
-        shells = levels[max(point.cut[1])][0] if point else shells
-        return point
+    def kernel(i):
+        return _fit_point(ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max),
+                          count_limit, primary_gap)
 
     def carry(i, point):  # from i + 1 to the first station the kernel takes, or stop
         nonlocal live, heap

@@ -14,11 +14,10 @@ included, without building a key tuple per level.
 _cut is the one place that sorts, cuts at the count limit and judges a
 scheme complete.  build_scheme is the reference path: it cuts the
 energies of its Level records and builds a validated LevelScheme.  A fit
-evaluates its taus through _fit_point instead, which cuts the energy
-column of the shells its kept levels can reach and returns the primary
+evaluates its taus through _fit_point instead, which cuts the same energy
+column of shells 0..n_max, with the same floor, and returns the primary
 magic numbers, with the sorted prefix whose order the fit carries to
-nearby taus.  _required_n_max cuts the prefixes of one
-longer column.
+nearby taus.  _required_n_max cuts the prefixes of one longer column.
 """
 
 import math
@@ -29,7 +28,7 @@ from itertools import accumulate, takewhile
 from operator import ge
 
 from .qmath import _Record
-from .spectrum import Level, ModelParameters, _energies_up_to, _shape, energy, enumerate_levels
+from .spectrum import Level, ModelParameters, _energies_up_to, _level_energy, _shape, enumerate_levels
 
 __all__ = [
     "MagicGrade",
@@ -152,7 +151,7 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     # floor's included, and otherwise (0, 0) is the lowest level, so kept
     # holds at least it.
     levels = enumerate_levels(p)
-    next_shell_floor = energy(p.n_max + 1, p.n_max + 1, p)
+    next_shell_floor = _level_energy(p.deformation.tau, p.hbar_omega0)(p.n_max + 1, p.n_max + 1)
     order, totals, complete = _cut([lev.energy for lev in levels], next_shell_floor, p.n_max,
                                    count_limit)
     kept = [levels[i] for i in order[:len(totals)]]
@@ -169,35 +168,24 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     return LevelScheme(tuple(kept), tuple(totals), p)
 
 
-def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float, m: int):
+def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
-    The list is read off the energy column of shells 0..m through _cut, m
-    growing from the given value until every level of shell m + 1 lies
-    above the kept levels and the one above them, or up to n_max.  Higher
-    shells start higher still, so the prefix, cut and list are those of
-    shells 0..n_max, and the column is refused exactly where theirs is.
-
-    Returns None where build_scheme would raise, else a FitPoint: cut is
-    (k, prefix), the kept count and the table indices of the kept levels and
-    the one above them in energy order; tied, whether two of them tie.
-    Checks no argument.
+    The list is read off the energy column of shells 0..n_max and its floor,
+    cut by _cut exactly as build_scheme cuts them.  Returns None where
+    build_scheme would raise, else a FitPoint: cut is (k, prefix), the kept
+    count and the table indices of the kept levels and the one above them in
+    energy order; tied, whether two of them tie.  Checks no argument.
     """
-    n_max = p.n_max
-    while True:
-        try:
-            energies, floor = _energies_up_to(p, n_max, min(m + 1, n_max))
-        except ValueError:
-            return None
-        lowest_above = min(energies[len(_shape(m)[0]):], default=floor)
-        order, totals, complete = _cut(energies, lowest_above, m, count_limit)
-        k = len(totals)
-        prefix = order[:k + 1]
-        if m == n_max or (len(prefix) > k and lowest_above > energies[prefix[-1]]):
-            break
-        m += 1
-    if not (complete and floor > energies[prefix[k - 1]]):
+    try:
+        energies, floor = _energies_up_to(p, p.n_max)
+    except ValueError:
         return None
+    order, totals, complete = _cut(energies, floor, p.n_max, count_limit)
+    if not complete:
+        return None
+    k = len(totals)
+    prefix = order[:k + 1]
     ordered = list(map(energies.__getitem__, prefix))
     primaries = [count for low, high, count in zip(ordered, ordered[1:k], totals)
                  if high - low > primary_gap]

@@ -120,18 +120,20 @@ def energy(n: int, l: int, p: ModelParameters) -> float:
 
     At tau = 0 this returns hbar_omega0 * n exactly, with no division, and
     E(0, 0), whose two terms are 0, is 0 at every tau.  Raises ValueError
-    where the two terms cancel or overflow, as _energies_up_to does for the
-    column whose next-shell floor is shell n.
+    where the terms cancel, as _energies_up_to does for the column whose
+    next-shell floor is shell n, and where the value would not be finite.
     """
     _check_branching(n, l)
     tau = p.deformation.tau
-    if tau == 0.0 or n == 0:
-        return p.hbar_omega0 * n
     try:
-        _check_rounding(tau, math.exp(tau), n - 1, (n, l))
-        return _level_energy(tau, p.hbar_omega0)(n, l)
+        if tau != 0.0 and n != 0:
+            _check_rounding(tau, math.exp(tau), n - 1, (n, l))
+        value = _level_energy(tau, p.hbar_omega0)(n, l) if n else 0.0
     except OverflowError:
-        raise _overflow(p, n) from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise _overflow(p, n)
+    return value
 
 
 def energy_taylor(n: int, l: int, p: ModelParameters, order: int) -> float:
@@ -220,21 +222,20 @@ def _check_rounding(tau: float, q: float, n_hi: int, level=None) -> None:
         )
 
 
-def _energies_up_to(p: ModelParameters, n_hi: int,
-                    n_levels: int | None = None) -> tuple[list[float], float]:
-    """energy(n, l, p) of each level of _shape(n_levels), and energy(n_hi+1, n_hi+1, p).
+def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
+    """energy(n, l, p) of each level of _shape(n_hi), and the floor E(n_hi+1, n_hi+1).
 
-    Both bit for bit; n_levels <= n_hi defaults to n_hi, and a shorter
-    column is refused exactly where the full one is.  Raises ValueError
-    when a level of shells 0..n_hi or the floor overflows a float, and when
-    cancellation could put an energy further than _TOLERANCE of its value
-    from the exact one: the two terms of E(n, l) grow as e^(2 tau n) while
-    E(n, n) = sinh(2 n tau) / sinh(2 tau), so above tau of about 8 (E(1, 1)
-    = 1 evaluates to 0.0 at tau = 20).
+    Both in _level_energy's operations, so bit for bit energy()'s where it
+    accepts them; past the float range the floor may read +inf.  Raises
+    ValueError when a level of shells 0..n_hi or the floor's powers overflow
+    a float, and when cancellation could put an energy further than
+    _TOLERANCE of its value from the exact one: the two terms of E(n, l)
+    grow as e^(2 tau n) while E(n, n) = sinh(2 n tau) / sinh(2 tau), so
+    above tau of about 8 (E(1, 1) = 1 evaluates to 0.0 at tau = 20).
     """
     tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0
-    ns, ls, _, _ = _shape(n_hi if n_levels is None else n_levels)
+    ns, ls, _, _ = _shape(n_hi)
     if tau == 0.0:
         if not math.isfinite(hbar_omega0 * n_hi):
             raise _overflow(p, n_hi)
@@ -261,7 +262,10 @@ def _energies_up_to(p: ModelParameters, n_hi: int,
 
 
 def _level_energy(tau: float, hbar_omega0: float):
-    """(n, l) -> E(n, l) at tau > 0, unchecked; each level of _energies_up_to's column bit for bit."""
+    """(n, l) -> E(n, l), unchecked, n hbar_omega0 at tau = 0; each level of
+    _energies_up_to's column bit for bit."""
+    if tau == 0.0:
+        return lambda n, l: hbar_omega0 * n
     sinh, sinh_tau, q = math.sinh, math.sinh(tau), math.exp(tau)
     casimir_coeff = q * math.tanh(tau)
     return lambda n, l: hbar_omega0 * (sinh(tau * n) / sinh_tau * q ** (n + 1) - casimir_coeff * (

@@ -103,6 +103,8 @@ def test_fit_grid_parsing():
         # expand them to 100005 and 100001 points.
         ["fit", "--dataset", "martin", "--n-max", "1", "--grid", "0.1:0.1000099994:1e-10"],
         ["fit", "--dataset", "martin", "--n-max", "1", "--grid", "0.1:0.100099999:1e-9"],
+        ["magics", "--primary-gap", "nan"],
+        ["fit", "--dataset", "martin", "--secondary-gap", "inf"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

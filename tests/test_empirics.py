@@ -449,12 +449,11 @@ def test_fit_tau_is_the_plain_reference_loop(grid, name, slack, primary_gap, cou
 
 
 def _direct_trace(ds, grid, primary_gap, count_limit, slack=0, hbar_omega0=1.0, n_max=24):
-    # Every point read off the kernel on all shells 0..n_max, none carried
-    # over from a neighbour.
+    # Every point read off the kernel, none carried over from a neighbour.
     trace = []
     for tau in grid:
         params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
-        predicted = _fit_point(params, count_limit, primary_gap, n_max).primaries
+        predicted = _fit_point(params, count_limit, primary_gap).primaries
         trace.append((tau, match_magics(predicted, ds, slack=slack).f1))
     return tuple(trace)
 
@@ -464,8 +463,7 @@ def _sweep_grids(draw):
     # Uniform grids, often dense enough for the sweep to certify ranges, or
     # sorted random points: below tau = 0.15; up to tau = 1, where levels of
     # high shells reach the cut; or across tau = 7.4-7.9, where the energies
-    # of shells 0..n_max (40 to 8) start to cancel, while those of the few
-    # shells the kernel sorts for a small count limit do not yet.
+    # of shells 0..n_max (40 to 8) start to cancel.
     bottom, top = draw(st.sampled_from([(1e-4, 0.15), (0.1, 1.0), (7.0, 8.5)]))
     if top > 1:
         lo, hi = draw(st.floats(min_value=7.0, max_value=7.4)), draw(st.floats(7.6, top))
@@ -522,12 +520,12 @@ def _counted(monkeypatch):
 
 
 def _kernel_states(grid, primary_gap, count_limit, hbar_omega0=1.0, n_max=24):
-    # (primaries, cut) of every point read off the kernel on all shells, up
-    # to the first it cannot finish.
+    # (primaries, cut) of every point read off the kernel, up to the first
+    # it cannot finish.
     states = []
     for tau in grid:
         point = _fit_point(ModelParameters(DeformationParameter(tau), hbar_omega0, n_max),
-                           count_limit, primary_gap, n_max)
+                           count_limit, primary_gap)
         if point is None:
             break
         states.append((tuple(point.primaries), point.cut))
@@ -698,7 +696,7 @@ def test_every_carried_point_is_certified(monkeypatch):
         p = ModelParameters(DeformationParameter(taus[j]), 1.0, 24)
         energies, floor = _energies_up_to(p, 24)
         energy_of = {**dict(zip(zip(ns, ls), energies)), (25, 25): floor}
-        for (a, b), needed in _quantities(_fit_point(p, 1520, 0.39, 24), 0.39, 24).items():
+        for (a, b), needed in _quantities(_fit_point(p, 1520, 0.39), 0.39, 24).items():
             value = energy_of[b] - energy_of[a]
             held = [thresholds for s, last, thresholds, v_s in certificates.get((a, b), ())
                     if s <= j <= last and all(value != c and (v_s > c) == (value > c)
@@ -738,20 +736,25 @@ def test_sweep_certifies_nothing_where_the_curvature_bounds_overflow(hi, monkeyp
     assert set(swept) <= set(kernel_taus) | set(station_taus)
 
 
-@pytest.mark.parametrize("grid, count_limit, n_max, error, message", [
+@pytest.mark.parametrize("grid, count_limit, n_max, error, message, primary_gap", [
     # Dense enough that its ends would certify every point between.
     ([round(0.03 + i * 1e-5, 10) for i in range(50)] + [math.nan]
-     + [round(0.0305 + i * 1e-5, 10) for i in range(50)], 1520, 24, ValueError, "finite"),
-    ([round(0.03 + i * 1e-5, 10) for i in range(100)] + [math.inf], 1520, 24, ValueError, "finite"),
+     + [round(0.0305 + i * 1e-5, 10) for i in range(50)], 1520, 24, ValueError, "finite", 0.39),
+    ([round(0.03 + i * 1e-5, 10) for i in range(100)] + [math.inf], 1520, 24, ValueError, "finite",
+     0.39),
     # n_max 12 cannot hold 700 particles at tau = 0.05, before the NaN.
-    ([0.03, 0.04, 0.05, math.nan, 0.07], 700, 12, InsufficientNMaxError, "n_max=12"),
+    ([0.03, 0.04, 0.05, math.nan, 0.07], 700, 12, InsufficientNMaxError, "n_max=12", 0.39),
     # Eight particles keep one state, but from tau = 7.401 the energies of
     # shells 0..40 cancel: the sweep carries no point past 7.4.
-    ([round(7.3 + i * 1e-3, 10) for i in range(201)], 8, 40, ValueError, "cancel at tau=7.401"),
-], ids=["nan inside", "inf last", "n_max before nan", "refused tail"])
+    ([round(7.3 + i * 1e-3, 10) for i in range(201)], 8, 40, ValueError, "cancel at tau=7.401",
+     0.39),
+    # The first point checks the threshold, on the reference path.
+    ([0.038], 1520, 24, ValueError, "gap thresholds must be finite", math.nan),
+    ([0.03, 0.04], 1520, 24, ValueError, "gap thresholds must be finite", math.inf),
+], ids=["nan inside", "inf last", "n_max before nan", "refused tail", "nan gap", "inf gap"])
 def test_fit_raises_at_the_first_non_finite_or_failing_point(grid, count_limit, n_max, error,
-                                                             message):
-    args = (load_named_dataset("martin"), grid, 0.39, count_limit, 0, 1.0, n_max)
+                                                             message, primary_gap):
+    args = (load_named_dataset("martin"), grid, primary_gap, count_limit, 0, 1.0, n_max)
     outcome = _outcome(fit_tau, *args)
     assert outcome == _outcome(_plain_fit, *args)
     assert outcome[0] is error and message in outcome[1]

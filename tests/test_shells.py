@@ -225,9 +225,9 @@ def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit
         assert predicted_primary_magics(tau, g, count_limit, 1.0, scheme.params.n_max) == expected
 
 
-def _primaries(p, count_limit, gap, start=0):
+def _primaries(p, count_limit, gap):
     # The fit kernel's primary list, or None where it cannot finish.
-    point = _fit_point(p, count_limit, gap, min(start, p.n_max))
+    point = _fit_point(p, count_limit, gap)
     return point and point.primaries
 
 
@@ -237,46 +237,43 @@ def _primaries(p, count_limit, gap, start=0):
                     st.floats(min_value=1e300, max_value=1e308)),
        n_max=st.integers(min_value=1, max_value=40),
        count_limit=st.integers(min_value=2, max_value=3000),
-       gap=st.floats(min_value=0.0, max_value=2.0),
-       start=st.integers(min_value=0, max_value=40))
-@example(tau=300.0, hw=1.0, n_max=1, count_limit=2, gap=0.39, start=0)  # the floor overflows
-def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap, start):
+       gap=st.floats(min_value=0.0, max_value=2.0))
+@example(tau=300.0, hw=1.0, n_max=1, count_limit=2, gap=0.39)  # the floor overflows
+def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap):
     # The fit's kernel gives predicted_primary_magics' list, and None
-    # exactly where build_scheme raises, from any shell bound it starts at.
+    # exactly where build_scheme raises.
     # At tau = 200 the energy formula cancels, and both refuse the energies.
     p = params(tau=tau, hw=hw, n_max=n_max)
     try:
         build_scheme(p, count_limit)
     except (InsufficientNMaxError, ValueError):
-        assert _primaries(p, count_limit, gap, start) is None
+        assert _primaries(p, count_limit, gap) is None
         return
-    assert _primaries(p, count_limit, gap, start) == \
+    assert _primaries(p, count_limit, gap) == \
         predicted_primary_magics(tau, gap, count_limit, hw, n_max)
 
 
 @settings(deadline=None)
 @given(tau=taus, n_max=st.integers(min_value=1, max_value=40),
        count_limit=st.integers(min_value=2, max_value=3000),
-       gap=st.floats(min_value=0.0, max_value=2.0),
-       start=st.integers(min_value=0, max_value=40))
+       gap=st.floats(min_value=0.0, max_value=2.0))
 def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max, count_limit,
-                                                                    gap, start):
+                                                                    gap):
     # The cut is the kept count and the kept levels plus the one above them
     # in energy order, with the floor E(n_max + 1, n_max + 1) above the top
-    # kept level, whatever shell bound the kernel starts at.
+    # kept level.
     p = params(tau=tau, n_max=n_max)
-    start = min(start, n_max)
     try:
         scheme = build_scheme(p, count_limit)
     except InsufficientNMaxError:
-        assert _fit_point(p, count_limit, gap, start) is None
+        assert _fit_point(p, count_limit, gap) is None
         return
     k = len(scheme.levels)
     levels = enumerate_levels(p)
     prefix = sorted(levels, key=_energy_n_l)[:k + 1]
     assert prefix[:k] == list(scheme.levels)
     index = {(n, l): i for i, (n, l) in enumerate(zip(*_shape(n_max)[:2]))}
-    point = _fit_point(p, count_limit, gap, start)
+    point = _fit_point(p, count_limit, gap)
     assert point[:2] == (
         predicted_primary_magics(tau, gap, count_limit, 1.0, n_max),
         (k, tuple(index[lev.n, lev.l] for lev in prefix)),
@@ -296,7 +293,18 @@ def test_cancelling_energies_are_an_error(tau, n_max, count_limit, message):
     for limit in (count_limit, 1520):
         with pytest.raises(ValueError, match=re.escape(message)):
             build_scheme(p, limit)
-        assert _fit_point(p, limit, 0.39, 0) is None
+        assert _fit_point(p, limit, 0.39) is None
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.038])
+def test_a_floor_past_the_float_range_completes_the_scheme(tau):
+    # The floor E(2, 2) of shells 0..1 reads +inf, above the kept level,
+    # although energy() refuses it.
+    p = params(tau=tau, hw=1e308, n_max=1)
+    with pytest.raises(ValueError, match=r"shells 0\.\.2 overflow a float"):
+        energy(2, 2, p)
+    assert build_scheme(p, 2).levels == (Level(0, 0, 0.0, 2),)
+    assert _fit_point(p, 2, 0.39)[:2] == ([], (1, (0, 1)))
 
 
 def test_underfilled_scheme_raises():
@@ -338,6 +346,8 @@ def test_scheme_validates_consistency():
         LevelScheme((lv1, lv0), (6, 8), params())
     with pytest.raises(ValueError):
         LevelScheme((), (), params())
+    with pytest.raises(ValueError, match="levels and cumulative must have equal length"):
+        LevelScheme((lv0, lv1), (2,), params())
 
 
 # ----------------------------------------------------------- detect_shells
@@ -375,6 +385,9 @@ def test_threshold_ordering_validated():
         detect_shells(scheme, primary_gap=0.3, secondary_gap=0.39)
     with pytest.raises(ValueError):
         detect_shells(scheme, primary_gap=0.39, secondary_gap=0.39)
+    for gaps in [(math.nan,), (0.39, math.inf)]:
+        with pytest.raises(ValueError, match="gap thresholds must be finite"):
+            detect_shells(scheme, *gaps)
 
 
 def test_full_primary_sequence():

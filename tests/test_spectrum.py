@@ -275,14 +275,21 @@ def test_enumerate_levels_is_bitwise_energy(tau, hw, n_max):
 )
 @example(tau=300.0, hw=1.0, n_hi=1)  # the column refuses: its floor, shell 2, overflows
 @example(tau=8.096, hw=1.0, n_hi=1)  # shells 0..1 are accepted, a bound for 0..2 would refuse
+@example(tau=0.0, hw=1e308, n_hi=1)  # the floor, 2 hbar_omega0, reads inf
+@example(tau=0.038, hw=1e308, n_hi=1)  # and E(2, 2) ~ 2 hbar_omega0 too
 def test_next_shell_floor_is_bitwise_energy(tau, hw, n_hi):
     # build_scheme's completeness floor: energy() of level (n_hi + 1, n_hi + 1).
     # Between tau = 6 and 9 the column starts to refuse cancelling energies;
-    # energy() never refuses the floor of a column that was accepted.
+    # energy() never refuses a finite floor of a column that was accepted,
+    # and refuses a floor past the float range, which the column lets read inf.
     p = params(tau, hw, n_hi)
     try:
         _, floor = _energies_up_to(p, n_hi)
     except ValueError:  # the table itself overflows
+        return
+    if not math.isfinite(floor):
+        with pytest.raises(ValueError, match=rf"shells 0\.\.{n_hi + 1} overflow a float"):
+            energy(n_hi + 1, n_hi + 1, p)
         return
     assert floor.hex() == energy(n_hi + 1, n_hi + 1, p).hex()
 
@@ -426,6 +433,22 @@ def test_energy_refuses_overflowing_terms(n, l, tau):
     # As the column of shells 0..n does; energy(1000, 0) used to raise a bare
     # OverflowError from q ** 1001.
     p = params(tau, n_max=n)
+    message = rf"energies of shells 0\.\.{n} overflow a float at tau={tau!r}"
+    with pytest.raises(ValueError, match=message):
+        energy(n, l, p)
+    with pytest.raises(ValueError, match=message):
+        _energies_up_to(p, n)
+
+
+@pytest.mark.parametrize("n, l, tau, hw", [
+    (1000, 1000, 0.5, 1.0),   # both terms round to inf, and inf - inf is nan
+    (1000, 0, 0.5, 1.0),      # the shell term rounds to inf
+    (3, 3, 0.038, 1e308),     # a finite difference times hbar_omega0
+    (2, 2, 0.0, 1e308),       # hbar_omega0 * n at tau = 0
+])
+def test_energy_refuses_values_past_the_float_range(n, l, tau, hw):
+    # Never inf or nan: the column of shells 0..n refuses these too.
+    p = params(tau, hw, n_max=n)
     message = rf"energies of shells 0\.\.{n} overflow a float at tau={tau!r}"
     with pytest.raises(ValueError, match=message):
         energy(n, l, p)
