@@ -12,20 +12,21 @@ order: the result equals a sort on (energy, n, l), ties at tau = 0
 included, without building a key tuple per level.
 
 _cut is the one place that sorts, cuts at the count limit and judges a
-scheme complete.  build_scheme is the reference path: it cuts the
-energies of its Level records and builds a validated LevelScheme.  A fit
-evaluates its taus through _fit_point instead, which cuts the same energy
-column of shells 0..n_max, with the same floor, and returns the primary
-magic numbers, with the sorted prefix whose order the fit carries to
-nearby taus.  _required_n_max cuts the prefixes of one longer column.
+scheme complete.  Its sort leaves the kept energies non-decreasing and
+its running sum gives the totals, so build_scheme and detect_shells skip
+the checks that LevelScheme and MagicRecord run on a caller's records.
+A fit evaluates its taus through _fit_point instead, which cuts the same
+energy column of shells 0..n_max, with the same floor, and returns the
+primary magic numbers, with the sorted prefix whose order the fit carries
+to nearby taus.  _required_n_max cuts the prefixes of one longer column.
 """
 
 import math
 from collections import namedtuple
 from enum import Enum
 from functools import partial
-from itertools import accumulate, takewhile
-from operator import ge
+from itertools import accumulate, compress, repeat, takewhile
+from operator import ge, itemgetter, lt, sub
 
 from .qmath import _Record
 from .spectrum import Level, ModelParameters, _energies_up_to, _level_energy, _shape, enumerate_levels
@@ -124,9 +125,12 @@ def _required_n_max(p: ModelParameters, count_limit: int) -> int:
     The energy column up to a trial bound is computed once, and every
     candidate below that bound is cut on its prefix, with the level after
     the prefix, (n + 1, n + 1), as the floor; the bound grows by
-    _N_MAX_STEP shells only if no candidate passes.
+    _N_MAX_STEP shells only if no candidate passes.  Candidates whose shells
+    hold fewer than count_limit particles, (n+1)(n+2)(n+3)/3, are skipped.
     """
     n = p.n_max
+    while (n + 2) * (n + 3) * (n + 4) // 3 < count_limit:
+        n += 1
     while True:
         n_hi = n + _N_MAX_STEP
         energies, _ = _energies_up_to(p, n_hi + 1)
@@ -143,7 +147,8 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     so a total exactly equal to the limit is still included.  Raises
     InsufficientNMaxError, naming the smallest n_max that would do, when
     shells above n_max could still reach below the truncation energy or
-    when shells 0..n_max cannot fill count_limit.
+    when shells 0..n_max cannot fill count_limit.  _cut's sort and running
+    sum give what LevelScheme checks, so the scheme is built without it.
     """
     if count_limit < 2:
         raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
@@ -152,9 +157,9 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     # holds at least it.
     levels = enumerate_levels(p)
     next_shell_floor = _level_energy(p.deformation.tau, p.hbar_omega0)(p.n_max + 1, p.n_max + 1)
-    order, totals, complete = _cut([lev.energy for lev in levels], next_shell_floor, p.n_max,
+    order, totals, complete = _cut(list(map(itemgetter(2), levels)), next_shell_floor, p.n_max,
                                    count_limit)
-    kept = [levels[i] for i in order[:len(totals)]]
+    kept = tuple(map(levels.__getitem__, order[:len(totals)]))
     if not complete:
         if next_shell_floor > kept[-1].energy:
             reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
@@ -165,7 +170,7 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
             f"n_max={p.n_max} is too small for count_limit={count_limit}: "
             f"{reason}; use n_max >= {_required_n_max(p, count_limit)}"
         )
-    return LevelScheme(tuple(kept), tuple(totals), p)
+    return tuple.__new__(LevelScheme, (kept, tuple(totals), p))
 
 
 def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
@@ -202,7 +207,8 @@ def detect_shells(
     Strict comparisons: a gap qualifies as primary when gap > primary_gap,
     as secondary when secondary_gap < gap <= primary_gap.  Thresholds must
     satisfy 0 <= secondary_gap < primary_gap, so every graded gap is
-    positive.
+    positive, and a scheme's totals are at least 2: MagicRecord's checks
+    hold, so the records are built without them.
     """
     if not (math.isfinite(primary_gap) and math.isfinite(secondary_gap)):
         raise ValueError("gap thresholds must be finite")
@@ -212,18 +218,15 @@ def detect_shells(
         raise ValueError(
             f"secondary_gap {secondary_gap!r} must be below primary_gap {primary_gap!r}"
         )
-    levels, cumulative = s.levels, s.cumulative
-    records = []
-    for i in range(len(levels) - 1):
-        gap = levels[i + 1].energy - levels[i].energy
-        if gap > primary_gap:
-            grade = MagicGrade.PRIMARY
-        elif gap > secondary_gap:
-            grade = MagicGrade.SECONDARY
-        else:
-            continue
-        records.append(MagicRecord(levels[i], gap, cumulative[i], grade))
-    return records
+    energies = list(map(itemgetter(2), s.levels))
+    gaps = list(map(sub, energies[1:], energies))
+    # lt(threshold, gap), not threshold.__lt__: int.__lt__(float) is NotImplemented.
+    above = list(map(lt, repeat(secondary_gap), gaps))
+    graded = list(compress(gaps, above))
+    grades = map((MagicGrade.SECONDARY, MagicGrade.PRIMARY).__getitem__,
+                 map(lt, repeat(primary_gap), graded))
+    return list(map(tuple.__new__, repeat(MagicRecord), zip(
+        compress(s.levels, above), graded, compress(s.cumulative, above), grades)))
 
 
 _ROW = "{:>3} {:>3} {:>8} {:>8} {:>6}"

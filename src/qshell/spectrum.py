@@ -92,8 +92,8 @@ class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_o
         # would fall back to (n, l) order.
         if not sys.float_info.min <= hbar_omega0 <= sys.float_info.max:
             raise ValueError(f"hbar_omega0 must be a normal positive float, got {hbar_omega0!r}")
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+        if not hasattr(n_max, "__index__") or (n_max := n_max.__index__()) < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
         # The lowest level of shell n is (n, n) only for tau >= 0, and the
         # completeness check of a truncated scheme relies on it.
         if deformation.tau < 0:
@@ -235,11 +235,10 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
     """
     tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0
-    ns, ls, _, _ = _shape(n_hi)
     if tau == 0.0:
         if not math.isfinite(hbar_omega0 * n_hi):
             raise _overflow(p, n_hi)
-        return [hbar_omega0 * n for n in ns], hbar_omega0 * (n_hi + 1)
+        return [hbar_omega0 * n for n in _shape(n_hi)[0]], hbar_omega0 * (n_hi + 1)
     try:  # _level_energy's operations, the per-level copy, shared per shell and per l
         sinh_tau = math.sinh(tau)
         bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
@@ -258,7 +257,8 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
     except OverflowError:
         raise _overflow(p, n_hi + 1) from None
     _check_rounding(tau, q, n_hi)
-    return [hbar_omega0 * (shell[n] - casimir[l]) for n, l in zip(ns, ls)], floor
+    # Shell n's levels in _shape's order, l = n, n - 2, ..., 1 or 0.
+    return [hbar_omega0 * (s - c) for n, s in enumerate(shell) for c in casimir[n::-2]], floor
 
 
 def _level_energy(tau: float, hbar_omega0: float):

@@ -1,5 +1,6 @@
 """The record contract: immutable, validated named tuples with stable fields."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,10 @@ from qshell.empirics import (
     FitResult,
     MatchReport,
     ObservedMagic,
+    predicted_primary_magics,
 )
 from qshell.qmath import DeformationParameter, _Record
-from qshell.shells import LevelScheme, MagicGrade, MagicRecord
+from qshell.shells import LevelScheme, MagicGrade, MagicRecord, build_scheme
 from qshell.spectrum import InvalidLevelError, Level, ModelParameters
 
 D = DeformationParameter(0.038)
@@ -43,6 +45,8 @@ INVALID_CHANGES = [
     (OBSERVED, {"value": 1}, ValueError),
     (OBSERVED, {"uncertainty": 59}, ValueError),
     (DATASET, {"entries": ()}, DatasetValidationError),
+    (P, {"n_max": 24.0}, ValueError),
+    (P, {"n_max": 2.5}, ValueError),
 ]
 
 FIELDS = {
@@ -115,6 +119,25 @@ def test_level_messages_name_the_broken_rule():
         Level(2, 1, 0.0, 6)
     with pytest.raises(ValueError, match=r"degeneracy 9 != 2\(2l\+1\) = 10"):
         Level(2, 2, 0.0, 9)
+
+
+class _Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_n_max_is_what_operator_index_accepts():
+    # A float n_max would pass the range check and fail later, in range().
+    for n_max in (24.0, 2.5, "24", None):
+        with pytest.raises(ValueError, match=re.escape(f"an integer >= 1, got {n_max!r}")):
+            ModelParameters(D, 1.0, n_max)
+    with pytest.raises(ValueError, match="got 24.0"):
+        predicted_primary_magics(0.04, 0.39, 1520, n_max=24.0)
+    assert build_scheme(ModelParameters(D, 1.0, _Index(24))) == build_scheme(P)
+    assert ModelParameters(D, 1.0, True).n_max == 1
 
 
 def _loaded_by_cli_import(modules, then="None"):

@@ -105,6 +105,12 @@ def _suggested_n_max(exc):
     count_limit=st.integers(min_value=2, max_value=6000),
     n_max=st.integers(min_value=1, max_value=30),
 )
+# Shells 0..17 hold 2280 particles: the n_max search starts at 17 for 2280
+# and at 18 for 2281, skipping the bounds that cannot hold the count.
+@example(tau=0.038, count_limit=2280, n_max=16)
+@example(tau=0.038, count_limit=2281, n_max=16)
+@example(tau=0.0, count_limit=2280, n_max=16)
+@example(tau=0.0, count_limit=2281, n_max=16)
 def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
     # Brute-force oracle: an accepted scheme is the one every larger bound
     # gives, and a suggested bound is the smallest one that is accepted.
@@ -114,8 +120,9 @@ def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
         bound = _suggested_n_max(err)
         assert bound > n_max
         build_scheme(params(tau=tau, n_max=bound), count_limit)
-        with pytest.raises(InsufficientNMaxError):
-            build_scheme(params(tau=tau, n_max=bound - 1), count_limit)
+        for smaller in range(n_max + 1, bound):
+            with pytest.raises(InsufficientNMaxError):
+                build_scheme(params(tau=tau, n_max=smaller), count_limit)
         return
     larger = build_scheme(params(tau=tau, n_max=n_max + 8), count_limit)
     assert scheme.levels == larger.levels
@@ -423,6 +430,40 @@ def test_threshold_scale_covariance():
     base = detect_shells(build_scheme(params(hw=1.0), 1520), 0.39, 0.30)
     scaled = detect_shells(build_scheme(params(hw=c), 1520), 0.39 * c, 0.30 * c)
     assert [(r.count, r.grade) for r in base] == [(r.count, r.grade) for r in scaled]
+
+
+def test_integer_thresholds_at_tau_zero_grade_no_tie():
+    # Every gap at tau = 0 is 0.0 or a whole shell; an int 0 threshold must
+    # compare as 0.0 does, so no tie becomes a record.
+    scheme = build_scheme(params(tau=0.0), count_limit=1520)
+    records = detect_shells(scheme, 1, 0)
+    assert records == detect_shells(scheme, 1.0, 0.0)
+    assert records and all(r.gap > 0 for r in records)
+    assert all(r.grade is MagicGrade.SECONDARY for r in records)  # gap 1 is not above 1
+
+
+def test_a_threshold_at_a_built_gap_stays_strict():
+    scheme = build_scheme(params(), 1520)
+    first = detect_shells(scheme)[0]
+    assert detect_shells(scheme, first.gap, first.gap / 2)[0] == first._replace(
+        grade=MagicGrade.SECONDARY)
+    ungraded = detect_shells(scheme, first.gap + 1, first.gap)
+    assert first.after_level not in [r.after_level for r in ungraded]
+
+
+@settings(deadline=None)
+@given(tau=st.floats(min_value=0.0, max_value=0.5), n_max=st.integers(min_value=1, max_value=40),
+       count_limit=st.integers(min_value=2, max_value=10000))
+def test_validated_constructors_accept_what_the_cut_builds(tau, n_max, count_limit):
+    # build_scheme and detect_shells skip these checks; they must hold anyway.
+    try:
+        scheme = build_scheme(params(tau=tau, n_max=n_max), count_limit)
+    except InsufficientNMaxError:
+        return
+    assert LevelScheme(*scheme) == scheme
+    for gaps in [(0.39, 0.30), (1, 0), (0.05, 0.0)]:
+        records = detect_shells(scheme, *gaps)
+        assert [MagicRecord(*r) for r in records] == records
 
 
 def test_magic_record_validation():
