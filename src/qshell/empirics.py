@@ -184,47 +184,34 @@ def match_magics(
     """Maximum one-to-one matching of predictions to observations.
 
     Prediction p may match observed value o when |p - o| <= uncertainty(o)
-    + slack, that is when p lies in o's window.  In ascending order, each
-    prediction takes the still-unmatched window that holds it and ends
-    first, the smaller o on a tie.  For points matched to intervals this
-    greedy gives a matching of maximum size (Glover, "Maximum matching in
-    a convex bipartite graph", 1967).
+    + slack, that is when p lies in o's window; slack may be math.inf.  In
+    ascending order, each prediction takes the still-unmatched window that
+    holds it and ends first, the smaller o on a tie: the windows that have
+    started by p wait in a heap keyed by (o + uncertainty, o), which orders
+    their ends at any slack, and those that ended below p leave it.  For
+    points matched to intervals this greedy gives a matching of maximum
+    size (Glover, "Maximum matching in a convex bipartite graph", 1967).
     """
-    if slack < 0:
+    if not slack >= 0:
         raise ValueError(f"slack must be >= 0, got {slack!r}")
     for a, b in zip(predicted, predicted[1:]):
         if b <= a:
             raise ValueError("predicted values must be strictly increasing")
     entries = [e for e in ds.entries if include_paren or not e.parenthesized]
-    observed = [e.value for e in entries]
-    window = [e.uncertainty + slack for e in entries]
-    # No entry further than reach from p can match it.  Observed values and
-    # predictions both increase, so an entry below p - reach, or a taken
-    # one, is out of reach of every later prediction: the scan start only
-    # moves forward.  The scan for p stops above p + reach.
-    reach = max(window, default=slack)
-    count = len(observed)
-    taken = [False] * count
-    pairs = []
-    start = 0
+    windows = sorted((e.value - e.uncertainty - slack, e.value + e.uncertainty, e.value)
+                     for e in entries)
+    heap, pairs, j = [], [], 0
     for p in predicted:
-        while start < count and (taken[start] or observed[start] + reach < p):
-            start += 1
-        # A window ends at or above its value, so once the values reach the
-        # end of the best window so far, no later window ends before it.
-        best, best_end = None, math.inf
-        for j in range(start, count):
-            o = observed[j]
-            if o - p > reach or o >= best_end:
-                break
-            if not taken[j] and abs(p - o) <= window[j] and o + window[j] < best_end:
-                best, best_end = j, o + window[j]
-        if best is not None:
-            taken[best] = True
-            pairs.append((p, observed[best]))
+        while j < len(windows) and windows[j][0] <= p:
+            heappush(heap, windows[j][1:])
+            j += 1
+        while heap and heap[0][0] + slack < p:
+            heappop(heap)
+        if heap:
+            pairs.append((p, heappop(heap)[1]))
     tp = len(pairs)
     fp = len(predicted) - tp
-    fn = len(observed) - tp
+    fn = len(entries) - tp
     f1 = 1.0 if tp + fp + fn == 0 else 2 * tp / (2 * tp + fp + fn)
     return MatchReport(tp, fp, fn, tuple(pairs), f1)
 
@@ -246,6 +233,8 @@ def predicted_primary_magics(
     levels, cumulative, _ = build_scheme(params, count_limit)
     if not math.isfinite(primary_gap):
         raise ValueError("gap thresholds must be finite")
+    if primary_gap < 0:  # the fit's sweep holds kept gaps positive only from 0 up
+        raise ValueError(f"primary_gap must be >= 0, got {primary_gap!r}")
     energies = [lev[2] for lev in levels]
     return [count for low, high, count in zip(energies, energies[1:], cumulative)
             if high - low > primary_gap]
@@ -388,7 +377,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             pairs[order[k - 1], floor] = False
             return pairs
 
-        def certify(pair, kind, tau_a, v_a, s, v_s):  # a kept gap: the sides of primary_gap, 0
+        # A kept gap: its side of primary_gap, and of 0 only below it (> 0 as primary_gap >= 0).
+        def certify(pair, kind, tau_a, v_a, s, v_s):
             thresholds = (0.0, primary_gap)[kind and v_s > primary_gap:1 + bool(kind)]
             last = _certified(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s)
             live[pair] = [grid[s], v_s, last, kind]

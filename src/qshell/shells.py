@@ -150,7 +150,9 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     when shells 0..n_max cannot fill count_limit.  _cut's sort and running
     sum give what LevelScheme checks, so the scheme is built without it.
     """
-    if count_limit < 2:
+    if not hasattr(count_limit, "__index__"):  # inf never ends the n_max search, nan breaks it
+        raise ValueError(f"count_limit must be an integer, got {count_limit!r}")
+    if (count_limit := count_limit.__index__()) < 2:
         raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
     # enumerate_levels raises where the energies overflow or cancel, the
     # floor's included, and otherwise (0, 0) is the lowest level, so kept

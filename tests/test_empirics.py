@@ -21,10 +21,11 @@ from qshell.empirics import (
     match_magics,
     predicted_primary_magics,
 )
-from qshell import empirics
+from qshell import empirics, shells
 from qshell.qmath import DeformationParameter
 from qshell.shells import InsufficientNMaxError, _fit_point, build_scheme
-from qshell.spectrum import ModelParameters, _energies_up_to, _shape, energy
+from qshell.spectrum import (ModelParameters, _drift_bounds, _energies_up_to, _level_energy,
+                             _shape, energy)
 
 MARTIN = [
     (2, 0, False), (8, 0, False), (18, 0, True), (20, 0, False), (34, 0, False),
@@ -230,6 +231,8 @@ def test_match_input_validation():
         match_magics([2, 2], ds)
     with pytest.raises(ValueError):
         match_magics([2], ds, slack=-1)
+    with pytest.raises(ValueError):  # NaN used to match nothing
+        match_magics([2], ds, slack=math.nan)
 
 
 def test_f1_zero_when_nothing_aligns():
@@ -310,7 +313,7 @@ def observed_entries(draw, max_value=400, max_size=25):
 @given(
     entries=observed_entries(),
     predicted=st.lists(st.integers(min_value=1, max_value=450), max_size=30, unique=True),
-    slack=st.integers(min_value=0, max_value=20),
+    slack=st.integers(min_value=0, max_value=20) | st.just(math.inf),
     include_paren=st.booleans(),
 )
 def test_match_magics_equals_the_plain_greedy_loop(entries, predicted, slack, include_paren):
@@ -392,6 +395,17 @@ def test_fit_martin_coarse():
     assert result.tau_best == 0.038
     assert result.score_best == max(score for _, score in result.grid)
     assert result.score_best == pytest.approx(17 / 22, rel=1e-12)  # tp 17, fp 8, fn 2
+
+
+def test_fit_refuses_a_negative_primary_gap():
+    # The sweep holds a kept gap above primary_gap on that side only, which
+    # keeps it positive only for primary_gap >= 0: at -0.5 its trace used to
+    # differ from the per-point one at 86 of these 401 points.
+    grid = [round(0.02 + i * 1e-4, 10) for i in range(401)]
+    with pytest.raises(ValueError, match="primary_gap must be >= 0"):
+        fit_tau(load_named_dataset("martin"), grid, -0.5, 1520)
+    with pytest.raises(ValueError, match="primary_gap must be >= 0"):
+        predicted_primary_magics(0.038, -0.001, 1520)
 
 
 def test_fit_ties_keep_smallest_tau():
@@ -586,6 +600,49 @@ def test_sweep_states_are_the_kernel_states(grid, primary_gap, count_limit, hbar
     ds = load_named_dataset("martin")
     args = (ds, grid, primary_gap, count_limit, 0, hbar_omega0, n_max)
     assert fit_tau(*args) == _plain_fit(*args)
+
+
+def test_sweep_keeps_outside_levels_past_their_station_margin(monkeypatch):
+    # At 211 particles (8, 8), shell 8's first outside level, falls through
+    # (7, 5), the level above the cut, at tau near 0.04235.  E(8, 6) is put
+    # below E(8, 8) by half its rounding bound, in the kernel's column and at
+    # the stations alike: where E(8, 8) - E(7, 5) is below that, (8, 6) takes
+    # (7, 5)'s place.  Only the station margin of the pair ((7, 5), (8, 8))
+    # sees it; a sign check alone would carry the old state there.
+    count_limit, top, first, lower = 211, (7, 5), (8, 8), (8, 6)
+    _, _, shell_error, casimir_error = _drift_bounds(24, 1.0)(0.042)
+    delta = (shell_error[8] + casimir_error[6]) / 2
+
+    def v(tau):
+        energy = _level_energy(tau, 1.0)
+        return energy(*first) - energy(*top)
+
+    a, b = 0.042, 0.043  # v(a) > 0 >= v(b): bisect to adjacent floats
+    while math.nextafter(a, 1) < b:
+        a, b = (a, (a + b) / 2) if v((a + b) / 2) <= 0 else ((a + b) / 2, b)
+    step = a - math.nextafter(a, 0)
+    near = [a - m * step for m in (400, 200, 100, 50)]
+    grid = [a - 1e-6, a - 5e-7, *near]
+    assert all(0 < v(tau) < delta < 1e-12 for tau in near) and v(grid[1]) > 1e-6
+
+    column, level_energy = shells._energies_up_to, empirics._level_energy
+    levels = list(zip(*_shape(24)[:2]))
+
+    def perturbed_column(p, n_hi):
+        energies, floor = column(p, n_hi)
+        energies = list(energies)
+        energies[levels.index(lower)] = energies[levels.index(first)] - delta
+        return energies, floor
+
+    def perturbed_level_energy(tau, hbar_omega0):
+        energy = level_energy(tau, hbar_omega0)
+        return lambda n, l: energy(*first) - delta if (n, l) == lower else energy(n, l)
+
+    monkeypatch.setattr(shells, "_energies_up_to", perturbed_column)
+    monkeypatch.setattr(empirics, "_level_energy", perturbed_level_energy)
+    states = _kernel_states(grid, 0.39, count_limit)
+    assert [levels[cut[1][cut[0]]] for _, cut in states] == [top, top] + [lower] * len(near)
+    assert empirics._sweep(grid, 0.39, count_limit, 1.0, 24) == states
 
 
 def test_sweep_walks_where_kept_levels_tie(monkeypatch):

@@ -84,6 +84,17 @@ def test_count_limit_validation():
         build_scheme(params(), count_limit=1)
 
 
+@pytest.mark.parametrize("count_limit", [math.inf, math.nan, 1520.5, 1520.0])
+def test_count_limit_must_be_an_integer(count_limit):
+    # Refused before any loop: inf used to run the n_max search forever, nan
+    # to raise an IndexError, and 1520.5 to build the 1520 scheme.
+    with pytest.raises(ValueError, match="count_limit must be an integer"):
+        build_scheme(params(), count_limit)
+    with pytest.raises(ValueError, match="count_limit must be an integer"):
+        predicted_primary_magics(0.038, 0.39, count_limit)
+    assert primaries(detect_shells(build_scheme(params(), 1520))) == PRIMARY_MAGICS
+
+
 def test_insufficient_n_max_names_a_working_bound():
     with pytest.raises(InsufficientNMaxError) as err:
         build_scheme(params(n_max=5), count_limit=1520)
