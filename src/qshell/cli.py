@@ -15,13 +15,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import count, islice, takewhile
 
-from .empirics import (
-    DatasetParseError,
-    DatasetValidationError,
-    fit_tau,
-    load_named_dataset,
-    match_magics,
-)
+from .empirics import fit_tau, load_named_dataset, match_magics
 from .qmath import DeformationParameter
 from .shells import (
     DEFAULT_COUNT_LIMIT,
@@ -349,8 +343,7 @@ def run(config: RunConfig, out=None) -> int:
     sink = sys.stdout if out is None else out
     try:
         text = _COMMANDS[config.command][0](config)
-    except (InsufficientNMaxError, DatasetParseError, DatasetValidationError,
-            ValueError, OSError) as exc:
+    except (InsufficientNMaxError, ValueError, OSError) as exc:
         print(f"qshell: error: {exc}", file=sys.stderr)
         return 1
     sink.write(text)

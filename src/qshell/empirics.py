@@ -334,12 +334,13 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     none in the prefix (E less its rounding bound rises as l falls, E(n, n)
     by (n + 1) / n per shell).  A station, the first point past a
     certificate, evaluates the expired ones alone.  A kept gap crossing
-    primary_gap, or a swap of two kept levels (ties order by n, l) whose new
-    neighbours are in order, is repaired in place; any other change goes to
-    _fit_point, which walks the grid until two untied points agree.  A
-    certificate depends on its pair and thresholds alone, so the next carried
-    state keeps each that reaches it on a pair of the same kind, as kinetic
-    data structures do (Basch, Guibas and Hershberger, SODA 1997).
+    primary_gap, or a swap of two kept levels whose new neighbours are in
+    strict order, is repaired in place; any other change goes to _fit_point,
+    an exact tie included, and the kernel walks the grid to a point that
+    agrees with the one before and holds no tie.  A certificate depends on
+    its pair and thresholds alone, so the next carried state keeps each that
+    reaches it on a pair of the same kind, as kinetic data structures do
+    (Basch, Guibas and Hershberger, SODA 1997).
     """
     levels, floor = list(zip(*_shape(n_max)[:2])), (n_max + 1, n_max + 1)  # by index
     index = {level: x for x, level in enumerate(levels)}
@@ -360,9 +361,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise, 0, stop) - 1, ends[-1] + 1))
     tables = lru_cache(None)(lambda rung: bounds_at(grid[ends[rung]]))
     states = [None] * stop
-    live, heap, above = {}, [], set()  # pair -> [tau, value, last index (-1 expired), kind]
+    live, heap = {}, []  # pair -> [tau, value, last index (-1 expired), kind]
 
-    @lru_cache(None)
     def kernel(i):
         return _fit_point(ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max),
                           count_limit, primary_gap)
@@ -383,15 +383,11 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             last = _certified(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s)
             live[pair] = [grid[s], v_s, last, kind]
             heappush(heap, (last, pair))
-            (above.add if kind and v_s > primary_gap else above.discard)(pair)
 
         def start(s, pairs):  # pairs new at s take their first value at s - 1
             then, now = (lru_cache(None)(_level_energy(grid[j], hbar_omega0)) for j in (s - 1, s))
             for (a, b), kind in pairs.items():
                 certify((a, b), kind, grid[s - 1], then(*b) - then(*a), s, now(*b) - now(*a))
-
-        def in_order(x, y, energy):  # as the kernel's sort, on (E, n, l), puts them; floor above
-            return (energy(*x), x) < (energy(*y), y if y != floor else ())
 
         def margin(x, kind):  # an outsider's: the lower levels of x's shell lie above E_x less this
             if kind is not None:
@@ -417,7 +413,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
                 if rec and rec[2] == last:  # live, and not popped yet at this station
                     rec[2], v = -1, energy(*pair[1]) - energy(*pair[0])
                     expired.append((pair, rec, v))
-                    if not (0 < v or in_order(*pair, energy)) or v <= margin(pair[1], rec[3]):
+                    if not 0 < v or v <= margin(pair[1], rec[3]):
                         bad.append(pair)
                     changed = changed or rec[3] and (v > primary_gap) != (rec[1] > primary_gap)
             if bad:
@@ -429,7 +425,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
                 for pair in old.keys() - pairs.keys():
                     del live[pair]
                 new = {(x, y): kind for (x, y), kind in pairs.items() if (x, y) not in live}
-                if not all(in_order(x, y, energy) for x, y in new):
+                if not all(energy(*y) > energy(*x) for x, y in new):
                     break
                 start(s, new)
             for pair, rec, v in expired:
@@ -439,14 +435,13 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
                 states[since:s] = repeat(state, s - since)
                 cut = tuple(map(index.__getitem__, order))
                 totals = accumulate(map(_shape(n_max)[2].__getitem__, cut))
-                primaries = tuple(compress(totals, map(above.__contains__, zip(order, order[1:k]))))
-                since, state = s, (primaries, (k, cut))
+                above = (live[pair][1] > primary_gap for pair in zip(order, order[1:k]))
+                since, state = s, (tuple(compress(totals, above)), (k, cut))
         states[since:s] = repeat(state, s - since)
         return s
 
     i = 0
     while i < stop and (point := kernel(i)):
         states[i] = tuple(point.primaries), point.cut
-        after = i + 1 < stop and kernel(i + 1)
-        i = carry(i, after) if after and after[:2] == point[:2] and not after.tied else i + 1
+        i = carry(i - 1, point) if i and states[i - 1] == states[i] and not point.tied else i + 1
     return states[:i]

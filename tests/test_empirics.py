@@ -476,10 +476,11 @@ def _direct_trace(ds, grid, primary_gap, count_limit, slack=0, hbar_omega0=1.0, 
 def _sweep_grids(draw):
     # Uniform grids, often dense enough for the sweep to certify ranges, or
     # sorted random points: below tau = 0.15; up to tau = 1, where levels of
-    # high shells reach the cut; or across tau = 7.4-7.9, where the energies
-    # of shells 0..n_max (40 to 8) start to cancel.
-    bottom, top = draw(st.sampled_from([(1e-4, 0.15), (0.1, 1.0), (7.0, 8.5)]))
-    if top > 1:
+    # high shells reach the cut; across tau = 1-3, where kept levels often
+    # have exactly equal energies; or across tau = 7.4-7.9, where the
+    # energies of shells 0..n_max (40 to 8) start to cancel.
+    bottom, top = draw(st.sampled_from([(1e-4, 0.15), (0.1, 1.0), (1.0, 3.0), (7.0, 8.5)]))
+    if bottom == 7.0:
         lo, hi = draw(st.floats(min_value=7.0, max_value=7.4)), draw(st.floats(7.6, top))
     else:
         lo = draw(st.floats(min_value=bottom, max_value=top - 0.01))
@@ -511,7 +512,7 @@ def test_sweep_trace_is_the_per_point_trace(grid, name, primary_gap, fill, hbar_
     # of what shells 0..n_max hold, so later points may need a larger n_max,
     # or at large tau a few particles, which the lowest shells hold there.
     count_limit = max(2, round(fill * (n_max + 1) * (n_max + 2) * (n_max + 3) / 3))
-    if grid[0] > 1:
+    if grid[0] >= 7:
         count_limit = few
     args = (load_named_dataset(name), grid, primary_gap, count_limit, 0, hbar_omega0, n_max)
     assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
@@ -553,7 +554,11 @@ def _kernel_states(grid, primary_gap, count_limit, hbar_omega0=1.0, n_max=24):
     # other, and the magic list changes every few points.
     ((0.001, 0.12, 3e-5), {"n_max": 40}, 43, 2060),
     ((0.02, 0.06, 1e-5), {"primary_gap": 0.3}, 10, 1025),
-], ids=["defaults", "n_max 30, count_limit 3000", "tau 0.001-0.12, n_max 40", "gap 0.3"])
+    # Exact ties between levels hold at most points of tau 1-3 (1467 of
+    # 2001), and each goes to the kernel.
+    ((1.0, 3.0, 1e-3), {}, 1620, 640),
+], ids=["defaults", "n_max 30, count_limit 3000", "tau 0.001-0.12, n_max 40", "gap 0.3",
+        "tau 1-3, ties"])
 def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_kernel_calls, most_stations,
                                                   monkeypatch):
     lo, hi, step = grid
@@ -567,7 +572,8 @@ def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_kernel_cal
     # defaults), and single levels are evaluated at some more: at each
     # station (680), and at the two points where a state starts (4) or a
     # swap adds pairs (72), 832 in all.  The budgets leave 10-25% over the
-    # counts (8, 25, 35, 8 kernel calls; 832, 1601, 1769, 858 evaluations).
+    # counts (8, 25, 35, 8, 1469 kernel calls; 832, 1601, 1769, 858, 531
+    # evaluations).
     assert len(set(kernel_taus)) == len(kernel_taus) <= most_kernel_calls
     assert len(station_taus) <= most_stations
 
