@@ -44,7 +44,7 @@ MAX_COUNT_LIMIT = 1_000_000
 # 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
 # microseconds per level, so this bounds a fit to a few seconds; the
 # 4001-point fine grid at the defaults is 676169.  The fit's event sweep
-# runs the kernel at 8 of those 4001 points (with 680 stations), but where
+# runs the kernel at 8 of those 4001 points (with 677 stations), but where
 # levels cross at every point it runs it at each, so the cap is on points.
 MAX_FIT_LEVELS = 10_000_000
 

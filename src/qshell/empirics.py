@@ -15,7 +15,7 @@ distinct magic list once.
 import math
 import os
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -171,7 +171,7 @@ def load_named_dataset(spec: str, data_dir: str | None = None) -> ExperimentalDa
     root = re.match("/*", path).group()  # spelled as pathlib spells it, as errors quote it:
     parts = [part for part in path.split("/") if part not in ("", ".")]  # no empty or "." parts
     path = (root if len(root) == 2 else root[:1]) + "/".join(parts) or "."
-    with open(path, encoding="utf-8") as file:  # the source is pathlib's stem of the name
+    with open(path, encoding="utf-8-sig") as file:  # the source is pathlib's stem of the name
         return load_dataset(file.read(), source=re.sub(r"(?s)(?<=.)\.[^.]+\Z", "", parts[-1]))
 
 
@@ -255,7 +255,7 @@ def fit_tau(
     so derivative-free search over an explicit grid is the right tool.
     Ties keep the smallest tau.  The trace equals evaluating every grid
     point, but _sweep runs the kernel at few of them (8 of the 4001 points
-    of 0.02:0.06:0.00001 at the defaults, with 680 stations).
+    of 0.02:0.06:0.00001 at the defaults, with 677 stations).
     """
     grid = [float(t) for t in tau_grid]
     if not grid:
@@ -305,22 +305,30 @@ def _reach(h, q_a, q_s, bound, rounding) -> float:
     return d * (1 - 2.0 ** -40) if 0 < d and math.isfinite(root) else 0.0
 
 
-def _certified(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s) -> int:
-    """The last grid index to which E_b - E_a, pair ((n_a, l_a), (n_b, l_b)), keeps
-    its side of each threshold, from its values at tau_a and grid[s]; tables(r)
-    are _drift_bounds' for rung r of the grid, which ends at index ends[r]."""
-    ((na, la), (nb, lb)), tau_s, last = pair, grid[s], s
-    for rung in range(bisect_left(ends, s), len(ends)):
-        shell2, casimir2, shell_error, casimir_error = tables(rung)
+def _stretches(tau0, tau_last, n_max, hbar_omega0):
+    """stretches(tau): (top, tables) of each stretch from tau's to tau_last's.  Stretch r, over
+    which the bounds about double, ends at tau0 + r ln 2 / (2 n_max + 2): _drift_bounds' there."""
+    bounds_at, rise = _drift_bounds(n_max, hbar_omega0), math.log(2) / (2 * n_max + 2)
+    stretch = lru_cache(None)(lambda r: (tau0 + r * rise, bounds_at(tau0 + r * rise)))
+    def holding(tau):  # the quotient may round down to a stretch whose top is not above tau
+        r = int((tau - tau0) / rise) + 1
+        return r + (tau0 + r * rise <= tau)
+    return lambda tau: map(stretch, range(holding(tau), holding(tau_last) + 1))
+
+
+def _certified(stretches, pair, thresholds, tau_a, v_a, tau_s, v_s) -> float:
+    """The end of [tau_s, end) over which E_b - E_a, pair ((n_a, l_a), (n_b, l_b)), keeps its
+    side of each threshold, from its values at tau_a and tau_s: a reach past tau_s, or a top."""
+    ((na, la), (nb, lb)), end = pair, tau_s
+    for top, (shell2, casimir2, shell_error, casimir_error) in stretches(tau_s):
         bound = (abs(shell2[na] - shell2[nb]) + abs(casimir2[la] - casimir2[lb])
                  + 2.0 ** -40 * (shell2[na] + shell2[nb] + casimir2[la] + casimir2[lb]))
         rounding = shell_error[na] + casimir_error[la] + shell_error[nb] + casimir_error[lb]
         d = min([_reach(tau_s - tau_a, v_a - c, v_s - c, bound, rounding) for c in thresholds])
-        j = bisect_right(grid, tau_s + d, s, ends[rung] + 1) - 1
-        last = max(last, j - (grid[j] - tau_s >= d))
-        if j < ends[rung]:
-            break
-    return last
+        if tau_s + d <= top:  # each float below fl(tau_s + d) lies within d of tau_s
+            return max(end, tau_s + d)
+        end = top
+    return end
 
 
 def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
@@ -332,8 +340,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     floor E(n_max + 1, n_max + 1) minus the top kept level, and each shell's
     lowest outside level minus the prefix top, up to the first shell with
     none in the prefix (E less its rounding bound rises as l falls, E(n, n)
-    by (n + 1) / n per shell).  A station, the first point past a
-    certificate, evaluates the expired ones alone.  A kept gap crossing
+    by (n + 1) / n per shell).  A station, the first point at or past a
+    certificate's end, evaluates the expired ones alone.  A kept gap crossing
     primary_gap, or a swap of two kept levels whose new neighbours are in
     strict order, is repaired in place; any other change goes to _fit_point,
     an exact tie included, and the kernel walks the grid to a point that
@@ -345,29 +353,23 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     levels, floor = list(zip(*_shape(n_max)[:2])), (n_max + 1, n_max + 1)  # by index
     index = {level: x for x, level in enumerate(levels)}
 
+    def params(i):
+        return ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max)
+
     def refused(i):
         try:
-            return not _energies_up_to(  # a pair, so never empty
-                ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max), n_max)
+            return not _energies_up_to(params(i), n_max)  # a pair, so never empty
         except ValueError:
             return True
 
     # The sweep ends at the first non-finite or refused point; refusal rises with tau.
     stop = [*map(math.isfinite, grid), False].index(False)
     stop = bisect_left(range(stop), True, key=refused) if refused(stop - 1) else stop
-    bounds_at, rise = _drift_bounds(n_max, hbar_omega0), math.log(2) / (2 * n_max + 2)
-    ends = [-1]  # the last index of each rung, over which the bounds about double
-    while ends[-1] < stop - 1:
-        ends.append(max(bisect_right(grid, grid[ends[-1] + 1] + rise, 0, stop) - 1, ends[-1] + 1))
-    tables = lru_cache(None)(lambda rung: bounds_at(grid[ends[rung]]))
+    stretches = _stretches(grid[0], grid[stop - 1], n_max, hbar_omega0)
     states = [None] * stop
-    live, heap = {}, []  # pair -> [tau, value, last index (-1 expired), kind]
+    live, heap = {}, []  # pair -> [tau, value, end of its certificate (-inf expired), kind]
 
-    def kernel(i):
-        return _fit_point(ModelParameters(DeformationParameter(grid[i]), hbar_omega0, n_max),
-                          count_limit, primary_gap)
-
-    def carry(i, point):  # from i + 1 to the first station the kernel takes, or stop
+    def carry(s, point):  # from s, the kernel's, to the first station the kernel takes, or stop
         nonlocal live, heap
         k, order = point.cut[0], [levels[x] for x in point.cut[1]]
 
@@ -378,21 +380,19 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             return pairs
 
         # A kept gap: its side of primary_gap, and of 0 only below it (> 0 as primary_gap >= 0).
-        def certify(pair, kind, tau_a, v_a, s, v_s):
+        def certify(pair, kind, tau_a, v_a, tau_s, v_s):
             thresholds = (0.0, primary_gap)[kind and v_s > primary_gap:1 + bool(kind)]
-            last = _certified(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s)
-            live[pair] = [grid[s], v_s, last, kind]
-            heappush(heap, (last, pair))
+            end = _certified(stretches, pair, thresholds, tau_a, v_a, tau_s, v_s)
+            live[pair] = [tau_s, v_s, end, kind]
+            heappush(heap, (end, pair))
 
         def start(s, pairs):  # pairs new at s take their first value at s - 1
             then, now = (lru_cache(None)(_level_energy(grid[j], hbar_omega0)) for j in (s - 1, s))
             for (a, b), kind in pairs.items():
-                certify((a, b), kind, grid[s - 1], then(*b) - then(*a), s, now(*b) - now(*a))
+                certify((a, b), kind, grid[s - 1], then(*b) - then(*a), grid[s], now(*b) - now(*a))
 
-        def margin(x, kind):  # an outsider's: the lower levels of x's shell lie above E_x less this
-            if kind is not None:
-                return -math.inf
-            _, _, shell_error, casimir_error = tables(bisect_left(ends, s))
+        def margin(x):  # an outsider's: the lower levels of x's shell lie above E_x less this
+            _, _, shell_error, casimir_error = next(stretches(grid[s]))[1]
             return 2 * (shell_error[x[0]] + casimir_error[x[1]])
 
         pairs, inside = adjacent(0, k + 1), set(order)
@@ -401,19 +401,19 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             pairs.update(((order[k], x), None) for x in outside)
             if outside == [(n, n)]:
                 break
-        live = {p: rec for p, rec in live.items() if pairs.get(p, 0) is rec[3] and rec[2] > i}
+        live = {p: rec for p, rec in live.items() if pairs.get(p, 0) is rec[3] and rec[2] > grid[s]}
         heap = sorted((rec[2], p) for p, rec in live.items())  # a sorted list is a heap
-        start(i + 1, {pair: kind for pair, kind in pairs.items() if pair not in live})
-        since, state = i + 1, (tuple(point.primaries), point.cut)
-        while (s := min(heap[0][0] + 1, stop)) < stop:
+        start(s, {pair: kind for pair, kind in pairs.items() if pair not in live})
+        since, state = s, (tuple(point.primaries), point.cut)
+        while (s := bisect_left(grid, heap[0][0], s + 1, stop)) < stop:
             energy, expired, bad, changed = _level_energy(grid[s], hbar_omega0), [], [], False
-            while heap and heap[0][0] < s:
-                last, pair = heappop(heap)
+            while heap and heap[0][0] <= grid[s]:
+                end, pair = heappop(heap)
                 rec = live.get(pair)
-                if rec and rec[2] == last:  # live, and not popped yet at this station
-                    rec[2], v = -1, energy(*pair[1]) - energy(*pair[0])
+                if rec and rec[2] == end:  # live, and not popped yet at this station
+                    rec[2], v = -math.inf, energy(*pair[1]) - energy(*pair[0])
                     expired.append((pair, rec, v))
-                    if not 0 < v or v <= margin(pair[1], rec[3]):
+                    if not 0 < v or rec[3] is None and v <= margin(pair[1]):
                         bad.append(pair)
                     changed = changed or rec[3] and (v > primary_gap) != (rec[1] > primary_gap)
             if bad:
@@ -430,7 +430,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
                 start(s, new)
             for pair, rec, v in expired:
                 if pair in live:
-                    certify(pair, rec[3], rec[0], rec[1], s, v)
+                    certify(pair, rec[3], rec[0], rec[1], grid[s], v)
             if changed:
                 states[since:s] = repeat(state, s - since)
                 cut = tuple(map(index.__getitem__, order))
@@ -441,7 +441,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         return s
 
     i = 0
-    while i < stop and (point := kernel(i)):
+    while i < stop and (point := _fit_point(params(i), count_limit, primary_gap)):
         states[i] = tuple(point.primaries), point.cut
-        i = carry(i - 1, point) if i and states[i - 1] == states[i] and not point.tied else i + 1
+        i = carry(i, point) if i and states[i - 1] == states[i] and not point.tied else i + 1
     return states[:i]

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import PurePosixPath
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -133,6 +134,18 @@ def test_load_by_path(tmp_path):
     f.write_text("2\n8\n20\n", encoding="utf-8")
     ds = load_named_dataset(str(f))
     assert ds.source == "custom" and ds.values() == [2, 8, 20]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_line(tmp_path):
+    # Some editors save UTF-8 with a leading BOM (EF BB BF).
+    text = "# sodium\r\n8\r\n20\r\n(40)\r\n58\u00b12\r\n"
+    (tmp_path / "plain.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "bom.txt").write_bytes(text.encode("utf-8-sig"))
+    (tmp_path / "bare.txt").write_bytes(text.replace("# sodium\r\n", "").encode("utf-8-sig"))
+    plain = load_named_dataset(str(tmp_path / "plain.txt"))
+    assert load_named_dataset(str(tmp_path / "bom.txt")) == plain._replace(source="bom")
+    assert load_named_dataset(str(tmp_path / "bare.txt")) == plain._replace(source="bare")
+    assert plain.values() == [8, 20, 40, 58]
 
 
 def test_data_dir_overrides_bundled(tmp_path):
@@ -477,9 +490,14 @@ def _sweep_grids(draw):
     # Uniform grids, often dense enough for the sweep to certify ranges, or
     # sorted random points: below tau = 0.15; up to tau = 1, where levels of
     # high shells reach the cut; across tau = 1-3, where kept levels often
-    # have exactly equal energies; or across tau = 7.4-7.9, where the
+    # have exactly equal energies, also densely, so that the sweep carries
+    # states there; or across tau = 7.4-7.9, where the
     # energies of shells 0..n_max (40 to 8) start to cancel.
-    bottom, top = draw(st.sampled_from([(1e-4, 0.15), (0.1, 1.0), (1.0, 3.0), (7.0, 8.5)]))
+    band = draw(st.sampled_from([(1e-4, 0.15), (0.1, 1.0), (1.0, 3.0), "dense 1-3", (7.0, 8.5)]))
+    if band == "dense 1-3":  # 50-150 points, 1e-4 to 1e-3 apart
+        lo, step = draw(st.floats(min_value=1.0, max_value=2.85)), draw(st.floats(1e-4, 1e-3))
+        return [lo + i * step for i in range(draw(st.integers(min_value=50, max_value=150)))]
+    bottom, top = band
     if bottom == 7.0:
         lo, hi = draw(st.floats(min_value=7.0, max_value=7.4)), draw(st.floats(7.6, top))
     else:
@@ -505,6 +523,11 @@ def _sweep_grids(draw):
     n_max=st.integers(min_value=8, max_value=40),
     few=st.integers(min_value=2, max_value=40),
 )
+# 3000 particles at n_max 20: a carried state meets a tie at a station 13
+# times, where the kernel takes over (random draws seldom do, about 2% of
+# the dense ones).
+@example(grid=[1.12 + i * 2e-4 for i in range(150)], name="martin", primary_gap=0.39,
+         fill=3000 / 3542, hbar_omega0=1.7, n_max=20, few=2)
 def test_sweep_trace_is_the_per_point_trace(grid, name, primary_gap, fill, hbar_omega0, n_max,
                                             few):
     # The certified sweep gives the trace, best point and error of evaluating
@@ -570,9 +593,9 @@ def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_kernel_cal
     assert fit_tau(ds, taus, **kwargs).grid == expected
     # The kernel runs at few points, each at most once (8 of 4001 at the
     # defaults), and single levels are evaluated at some more: at each
-    # station (680), and at the two points where a state starts (4) or a
-    # swap adds pairs (72), 832 in all.  The budgets leave 10-25% over the
-    # counts (8, 25, 35, 8, 1469 kernel calls; 832, 1601, 1769, 858, 531
+    # station (677), and at the two points where a state starts (4) or a
+    # swap adds pairs (72), 829 in all.  The budgets leave 10-25% over the
+    # counts (8, 25, 35, 8, 1469 kernel calls; 829, 1606, 1771, 863, 532
     # evaluations).
     assert len(set(kernel_taus)) == len(kernel_taus) <= most_kernel_calls
     assert len(station_taus) <= most_stations
@@ -708,6 +731,87 @@ def test_reach_is_the_root_of_a_straight_quantity():
     assert empirics._reach(1.0, 0.0, 0.5, 1e-300, 0.0) > 1e299  # rising, and almost no bound
 
 
+@st.composite
+def _stretch_tops(draw):
+    # (tau0, n_max, r): the top of stretch r lies at most tau = 7 above tau0.
+    tau0, n_max = draw(st.floats(min_value=1e-3, max_value=3.0)), draw(st.integers(1, 200))
+    rise = math.log(2) / (2 * n_max + 2)
+    return tau0, n_max, draw(st.integers(1, max(1, int((7.0 - tau0) / rise))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(stretch=_stretch_tops(), ulps=st.integers(-2, 2), span=st.floats(0.0, 0.5),
+       pair=st.sampled_from([((0, 0), (1, 1)), ((1, 1), (2, 0)), ((2, 0), (2, 2))]),
+       thresholds=st.sampled_from([(0.0,), (0.0, 0.39), (0.39,)]),
+       h=st.floats(min_value=1e-6, max_value=0.1), v_a=st.floats(-10.0, 10.0),
+       v_s=st.floats(-10.0, 10.0))
+# int((tau - tau0) / rise) + 1 is r at stretch 1's top and at the float
+# above stretch 41's top: the quotient rounds down below r.
+@example(stretch=(0.02, 8, 1), ulps=0, span=0.3, pair=((0, 0), (1, 1)), thresholds=(0.0,),
+         h=0.01, v_a=4.9, v_s=5.0)
+@example(stretch=(1.0877083769984186, 6, 41), ulps=1, span=0.3, pair=((0, 0), (1, 1)),
+         thresholds=(0.0,), h=0.01, v_a=4.9, v_s=5.0)
+def test_a_certificate_reads_the_stretch_that_holds_its_tau(stretch, ulps, span, pair, thresholds,
+                                                           h, v_a, v_s):
+    # A certificate from tau, and a station's margin at tau, read the tables
+    # of the first stretch whose top lies above tau: tables of a lower one do
+    # not bound tau.  Every float below the end is within the reach d of the
+    # tables of a stretch whose top it does not pass, in exact arithmetic.
+    tau0, n_max, r = stretch
+    rise = math.log(2) / (2 * n_max + 2)
+    tau = tau0 + r * rise
+    for _ in range(abs(ulps)):
+        tau = math.nextafter(tau, math.copysign(math.inf, ulps))
+    stretches = empirics._stretches(tau0, tau + span, n_max, 1.0)
+    assert tau < next(stretches(tau))[0] <= tau + 1.001 * rise
+    assert tau + span < next(stretches(tau + span))[0] and len(list(stretches(tau + span))) == 1
+    tops, reaches, reach = [], [], empirics._reach
+
+    def spied(tau):
+        for top, tables in stretches(tau):
+            tops.append(top)
+            yield top, tables
+
+    with mock.patch.object(empirics, "_reach", lambda *a: reaches.append(reach(*a)) or reaches[-1]):
+        end = empirics._certified(spied, pair, thresholds, tau - h, v_a, tau, v_s)
+    ds = [min(reaches[j:j + len(thresholds)]) for j in range(0, len(reaches), len(thresholds))]
+    assert len(ds) == len(tops) and tau <= end <= tops[-1]
+    if end > tau:
+        below = Fraction(math.nextafter(end, 0))
+        assert any(below <= top and below - Fraction(tau) < d
+                   for top, d in zip(map(Fraction, tops), map(Fraction, ds)))
+
+
+@pytest.mark.parametrize("grid, n_max", [
+    ((0.02, 0.06, 1e-5), 24), ((0.1, 1.0, 5e-4), 24), ((1.0, 3.0, 1e-3), 24),
+    ((0.001, 0.12, 3e-5), 40),
+], ids=["defaults", "tau 0.1-1", "tau 1-3, ties", "tau 0.001-0.12, n_max 40"])
+def test_certificates_hold_between_the_grid_points(grid, n_max, monkeypatch):
+    # A certificate claims every tau in [tau_s, end), not only the grid's
+    # points: at random taus inside it, and at the float below its end, the
+    # pair's difference stays on the side of each threshold it had at tau_s.
+    lo, hi, step = grid
+    taus = [round(lo + i * step, 10) for i in range(round((hi - lo) / step) + 1)]
+    certificates, certified = [], empirics._certified
+
+    def spy(stretches, pair, thresholds, tau_a, v_a, tau_s, v_s):
+        end = certified(stretches, pair, thresholds, tau_a, v_a, tau_s, v_s)
+        certificates.append((pair, thresholds, tau_s, v_s, end))
+        return end
+
+    monkeypatch.setattr(empirics, "_certified", spy)
+    assert len(empirics._sweep(taus, 0.39, 1520, 1.0, n_max)) == len(taus)
+    rng, samples = random.Random(21), 0
+    for (a, b), thresholds, tau_s, v_s, end in certificates:
+        inside = [tau_s + rng.random() * (end - tau_s) for _ in range(3)] + [math.nextafter(end, 0)]
+        for tau in [t for t in inside if tau_s <= t < end]:
+            energy = _level_energy(tau, 1.0)
+            v = energy(*b) - energy(*a)
+            assert all(v != c and (v > c) == (v_s > c) for c in thresholds), (a, b, tau_s, tau, end)
+            samples += 1
+    assert samples > 2000
+
+
 def _quantities(point, primary_gap, n_max):
     # The thresholds of each pair of levels ((n, l), (n', l')) of a state:
     # adjacent prefix spacings, kept gaps, floor minus top kept, and the
@@ -731,15 +835,15 @@ def test_every_carried_point_is_certified(monkeypatch):
     # At every point the sweep did not hand to the kernel, each quantity of
     # the kernel's state there lies on the side of each of its thresholds
     # that a certificate computed at or before that point holds it on.  The
-    # grid spans many rungs of the bound tables.
+    # grid spans many stretches of the bound tables.
     taus = [round(0.02 + i * 1e-4, 10) for i in range(2801)]
-    certificates = {}  # pair -> [(first index, last index, thresholds, value there)]
+    certificates = {}  # pair -> [(tau_s, end, thresholds, value at tau_s)]
     certified = empirics._certified
 
-    def spy(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s):
-        last = certified(grid, ends, tables, pair, thresholds, tau_a, v_a, s, v_s)
-        certificates.setdefault(pair, []).append((s, last, thresholds, v_s))
-        return last
+    def spy(stretches, pair, thresholds, tau_a, v_a, tau_s, v_s):
+        end = certified(stretches, pair, thresholds, tau_a, v_a, tau_s, v_s)
+        certificates.setdefault(pair, []).append((tau_s, end, thresholds, v_s))
+        return end
 
     def drift_bounds(*args):
         bounds = bounds_at(*args)
@@ -761,9 +865,9 @@ def test_every_carried_point_is_certified(monkeypatch):
         energy_of = {**dict(zip(zip(ns, ls), energies)), (25, 25): floor}
         for (a, b), needed in _quantities(_fit_point(p, 1520, 0.39), 0.39, 24).items():
             value = energy_of[b] - energy_of[a]
-            held = [thresholds for s, last, thresholds, v_s in certificates.get((a, b), ())
-                    if s <= j <= last and all(value != c and (v_s > c) == (value > c)
-                                              for c in thresholds)]
+            held = [thresholds for tau_s, end, thresholds, v_s in certificates.get((a, b), ())
+                    if (tau_s <= taus[j] < end or taus[j] == tau_s)
+                    and all(value != c and (v_s > c) == (value > c) for c in thresholds)]
             assert any(set(needed) <= {*thresholds, 0.0} and (0.0 in thresholds or value > 0.39)
                        for thresholds in held), (j, a, b)
 
