@@ -44,8 +44,9 @@ MAX_COUNT_LIMIT = 1_000_000
 # 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
 # microseconds per level, so this bounds a fit to a few seconds; the
 # 4001-point fine grid at the defaults is 676169.  The fit's event sweep
-# runs the kernel at 8 of those 4001 points (with 677 stations), but where
-# levels cross at every point it runs it at each, so the cap is on points.
+# runs the kernel at 5 of those 4001 points (with 676 stations): where a
+# carry breaks, and at each point while that point holds a tie.  Levels
+# that cross or tie at every point put it at each, so the cap is on points.
 MAX_FIT_LEVELS = 10_000_000
 
 
@@ -310,8 +311,7 @@ def _cmd_fit(config: RunConfig) -> str:
     result = fit_tau(dataset, taus, config.primary_gap, config.count_limit, config.slack,
                      config.hbar_omega0, config.n_max)
     if config.format == "text":
-        f1 = {score: f"{score:.6f}" for _, score in result.grid}  # few distinct scores
-        lines = [f"tau {tau:.6f} f1 {f1[score]}" for tau, score in result.grid]
+        lines = [f"tau {tau:.6f} f1 {score:.6f}" for tau, score in result.grid]
         lines.append(f"best tau {result.tau_best:.6f} f1 {result.score_best:.6f}")
         return "\n".join(lines) + "\n"
     return _emit(config, ("tau", "f1"), result.grid, {

@@ -254,8 +254,8 @@ def fit_tau(
     The objective (f1 of the matching) is a step function of tau,
     so derivative-free search over an explicit grid is the right tool.
     Ties keep the smallest tau.  The trace equals evaluating every grid
-    point, but _sweep runs the kernel at few of them (8 of the 4001 points
-    of 0.02:0.06:0.00001 at the defaults, with 677 stations).
+    point, but _sweep runs the kernel at few of them (5 of the 4001 points
+    of 0.02:0.06:0.00001 at the defaults, with 676 stations).
     """
     grid = [float(t) for t in tau_grid]
     if not grid:
@@ -344,11 +344,11 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     certificate's end, evaluates the expired ones alone.  A kept gap crossing
     primary_gap, or a swap of two kept levels whose new neighbours are in
     strict order, is repaired in place; any other change goes to _fit_point,
-    an exact tie included, and the kernel walks the grid to a point that
-    agrees with the one before and holds no tie.  A certificate depends on
-    its pair and thresholds alone, so the next carried state keeps each that
-    reaches it on a pair of the same kind, as kinetic data structures do
-    (Basch, Guibas and Hershberger, SODA 1997).
+    an exact tie included.  The kernel runs where a carry breaks and goes on
+    while a point holds a tie or is the first (a carry needs the one before).
+    A certificate depends on its pair and thresholds alone, so the next
+    carried state keeps each that reaches it on a pair of the same kind, as
+    kinetic data structures do (Basch, Guibas and Hershberger, SODA 1997).
     """
     levels, floor = list(zip(*_shape(n_max)[:2])), (n_max + 1, n_max + 1)  # by index
     index = {level: x for x, level in enumerate(levels)}
@@ -387,7 +387,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             heappush(heap, (end, pair))
 
         def start(s, pairs):  # pairs new at s take their first value at s - 1
-            then, now = (lru_cache(None)(_level_energy(grid[j], hbar_omega0)) for j in (s - 1, s))
+            then, now = _level_energy(grid[s - 1], hbar_omega0), _level_energy(grid[s], hbar_omega0)
             for (a, b), kind in pairs.items():
                 certify((a, b), kind, grid[s - 1], then(*b) - then(*a), grid[s], now(*b) - now(*a))
 
@@ -443,5 +443,5 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     i = 0
     while i < stop and (point := _fit_point(params(i), count_limit, primary_gap)):
         states[i] = tuple(point.primaries), point.cut
-        i = carry(i, point) if i and states[i - 1] == states[i] and not point.tied else i + 1
+        i = carry(i, point) if i and not point.tied else i + 1
     return states[:i]

@@ -25,8 +25,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 from functools import partial
-from itertools import accumulate, compress, repeat, takewhile
-from operator import ge, itemgetter, lt, sub
+from itertools import accumulate, takewhile
+from operator import ge, itemgetter
 
 from .qmath import _Record
 from .spectrum import Level, ModelParameters, _energies_up_to, _level_energy, _shape, enumerate_levels
@@ -125,18 +125,24 @@ def _required_n_max(p: ModelParameters, count_limit: int) -> int:
     The energy column up to a trial bound is computed once, and every
     candidate below that bound is cut on its prefix, with the level after
     the prefix, (n + 1, n + 1), as the floor; the bound grows by
-    _N_MAX_STEP shells only if no candidate passes.  Candidates whose shells
-    hold fewer than count_limit particles, (n+1)(n+2)(n+3)/3, are skipped.
+    _N_MAX_STEP shells only if no candidate passes.  Where that column is
+    refused, each candidate is cut on its own column, and the search raises
+    only where that is refused too.  Candidates whose shells hold fewer
+    than count_limit particles, (n+1)(n+2)(n+3)/3, are skipped.
     """
     n = p.n_max
     while (n + 2) * (n + 3) * (n + 4) // 3 < count_limit:
         n += 1
     while True:
         n_hi = n + _N_MAX_STEP
-        energies, _ = _energies_up_to(p, n_hi + 1)
+        try:
+            energies, _ = _energies_up_to(p, n_hi + 1)
+        except ValueError:
+            energies = None
         while n < n_hi:
             n += 1
-            if _cut(energies, energies[len(_shape(n)[0])], n, count_limit)[2]:
+            column = (energies, energies[len(_shape(n)[0])]) if energies else _energies_up_to(p, n)
+            if _cut(*column, n, count_limit)[2]:
                 return n
 
 
@@ -220,15 +226,10 @@ def detect_shells(
         raise ValueError(
             f"secondary_gap {secondary_gap!r} must be below primary_gap {primary_gap!r}"
         )
-    energies = list(map(itemgetter(2), s.levels))
-    gaps = list(map(sub, energies[1:], energies))
-    # lt(threshold, gap), not threshold.__lt__: int.__lt__(float) is NotImplemented.
-    above = list(map(lt, repeat(secondary_gap), gaps))
-    graded = list(compress(gaps, above))
-    grades = map((MagicGrade.SECONDARY, MagicGrade.PRIMARY).__getitem__,
-                 map(lt, repeat(primary_gap), graded))
-    return list(map(tuple.__new__, repeat(MagicRecord), zip(
-        compress(s.levels, above), graded, compress(s.cumulative, above), grades)))
+    primary, secondary = MagicGrade.PRIMARY, MagicGrade.SECONDARY
+    return [tuple.__new__(MagicRecord, (low, gap, count, primary if gap > primary_gap else secondary))
+            for low, high, count in zip(s.levels, s.levels[1:], s.cumulative)
+            if (gap := high[2] - low[2]) > secondary_gap]
 
 
 _ROW = "{:>3} {:>3} {:>8} {:>8} {:>6}"

@@ -52,10 +52,6 @@ __all__ = [
 ]
 
 
-# Bound once: Level construction is the hot path of enumerate_levels.
-_tuple_new = tuple.__new__
-
-
 class InvalidLevelError(ValueError):
     """(n, l) outside the branching rule l = n, n-2, ..., 1 or 0."""
 
@@ -78,7 +74,7 @@ class Level(_Record, namedtuple("Level", "n l energy degeneracy")):
         if not (0 <= l <= n and (n - l) % 2 == 0 and degeneracy == 4 * l + 2):
             _check_branching(n, l)
             raise ValueError(f"degeneracy {degeneracy} != 2(2l+1) = {2 * (2 * l + 1)}")
-        return _tuple_new(cls, (n, l, energy, degeneracy))
+        return tuple.__new__(cls, (n, l, energy, degeneracy))
 
 
 class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_omega0 n_max")):
@@ -98,7 +94,7 @@ class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_o
         # completeness check of a truncated scheme relies on it.
         if deformation.tau < 0:
             raise ValueError(f"tau must be >= 0, got {deformation.tau!r}")
-        return _tuple_new(cls, (deformation, hbar_omega0, n_max))
+        return tuple.__new__(cls, (deformation, hbar_omega0, n_max))
 
 
 def allowed_l(n: int) -> list[int]:
@@ -322,4 +318,4 @@ def enumerate_levels(p: ModelParameters) -> list[Level]:
     ns, ls, degeneracies, _ = _shape(p.n_max)
     energies, _ = _energies_up_to(p, p.n_max)
     # _shape checked every (n, l, degeneracy), and Level checks nothing else.
-    return list(map(_tuple_new, repeat(Level), zip(ns, ls, energies, degeneracies)))
+    return list(map(tuple.__new__, repeat(Level), zip(ns, ls, energies, degeneracies)))

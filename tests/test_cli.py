@@ -347,6 +347,16 @@ def test_fit_follows_its_own_n_max_advice(capsys):
     assert out.splitlines()[-1].startswith("best tau ")
 
 
+def test_n_max_advice_near_cancellation_exits_1(capsys):
+    # The n_max search's trial column (shells 0..31) cancels at tau = 7.5, but
+    # shells 0..24 do not, and n_max 24 holds the 5000 particles.
+    argv = ["magics", "--tau", "7.5", "--count-limit", "5000"]
+    status, out = capture(parse_args(argv + ["--n-max", "22"]))
+    assert status == 1 and out == ""
+    assert capsys.readouterr().err.endswith("; use n_max >= 24\n")
+    assert capture(parse_args(argv + ["--n-max", "24"]))[0] == 0
+
+
 def test_fit_passes_the_energy_scale_through():
     # Energies and gaps scale exactly with hbar_omega0 = 2, so doubling the
     # thresholds too must reproduce the default fit.

@@ -571,12 +571,12 @@ def _kernel_states(grid, primary_gap, count_limit, hbar_omega0=1.0, n_max=24):
 
 
 @pytest.mark.parametrize("grid, options, most_kernel_calls, most_stations", [
-    ((0.02, 0.06, 1e-5), {}, 10, 1000),
-    ((0.02, 0.06, 1e-5), {"n_max": 30, "count_limit": 3000}, 31, 1770),
+    ((0.02, 0.06, 1e-5), {}, 6, 1000),
+    ((0.02, 0.06, 1e-5), {"n_max": 30, "count_limit": 3000}, 15, 1770),
     # Below tau = 0.01 the levels of a shell lie within ~tau l^2 of each
     # other, and the magic list changes every few points.
-    ((0.001, 0.12, 3e-5), {"n_max": 40}, 43, 2060),
-    ((0.02, 0.06, 1e-5), {"primary_gap": 0.3}, 10, 1025),
+    ((0.001, 0.12, 3e-5), {"n_max": 40}, 20, 2060),
+    ((0.02, 0.06, 1e-5), {"primary_gap": 0.3}, 6, 1025),
     # Exact ties between levels hold at most points of tau 1-3 (1467 of
     # 2001), and each goes to the kernel.
     ((1.0, 3.0, 1e-3), {}, 1620, 640),
@@ -591,14 +591,40 @@ def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_kernel_cal
     expected = _direct_trace(ds, taus, **kwargs)
     kernel_taus, station_taus = _counted(monkeypatch)
     assert fit_tau(ds, taus, **kwargs).grid == expected
-    # The kernel runs at few points, each at most once (8 of 4001 at the
+    # The kernel runs at few points, each at most once (5 of 4001 at the
     # defaults), and single levels are evaluated at some more: at each
-    # station (677), and at the two points where a state starts (4) or a
-    # swap adds pairs (72), 829 in all.  The budgets leave 10-25% over the
-    # counts (8, 25, 35, 8, 1469 kernel calls; 829, 1606, 1771, 863, 532
+    # station (676), and at the two points where a state starts (4) or a
+    # swap adds pairs (72), 828 in all.  The budgets leave 10-25% over the
+    # counts (5, 13, 17, 5, 1469 kernel calls; 828, 1614, 1787, 865, 532
     # evaluations).
     assert len(set(kernel_taus)) == len(kernel_taus) <= most_kernel_calls
     assert len(station_taus) <= most_stations
+
+
+@pytest.mark.parametrize("grid", [(0.02, 0.06, 1e-5), (0.1, 1.0, 5e-4), (0.02, 0.3, 1e-4)])
+def test_sweep_carries_from_every_untied_kernel_point(grid, monkeypatch):
+    # Past the first point, a kernel point that holds no tie starts a carry,
+    # whose first act is to evaluate levels, whether or not its state is the
+    # one before's; after a tied point, or the first, the kernel takes the
+    # next point.  The states are still the kernel's at every point.
+    lo, hi, step = grid
+    taus = [round(lo + i * step, 10) for i in range(round((hi - lo) / step) + 1)]
+    events, kernel, level_energy = [], empirics._fit_point, empirics._level_energy
+
+    def counted(p, *args):
+        events.append((taus.index(p.deformation.tau), kernel(p, *args)))
+        return events[-1][1]
+
+    monkeypatch.setattr(empirics, "_fit_point", counted)
+    monkeypatch.setattr(empirics, "_level_energy",
+                        lambda *args: events.append(None) or level_energy(*args))
+    states = empirics._sweep(taus, 0.39, 1520, 1.0, 24)
+    for event, after in zip(events, events[1:]):
+        if event:
+            i, point = event
+            assert after is None if i and not point.tied else after[0] == i + 1
+    monkeypatch.undo()
+    assert states == _kernel_states(taus, 0.39, 1520)
 
 
 @pytest.mark.parametrize("grid, primary_gap, count_limit, hbar_omega0, n_max", [

@@ -122,6 +122,8 @@ def _suggested_n_max(exc):
 @example(tau=0.038, count_limit=2281, n_max=16)
 @example(tau=0.0, count_limit=2280, n_max=16)
 @example(tau=0.0, count_limit=2281, n_max=16)
+# The search's trial column, shells 0..31, cancels at tau = 7.5; shells 0..24 do not.
+@example(tau=7.5, count_limit=5000, n_max=22)
 def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
     # Brute-force oracle: an accepted scheme is the one every larger bound
     # gives, and a suggested bound is the smallest one that is accepted.
