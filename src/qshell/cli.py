@@ -152,20 +152,19 @@ def parse_args(argv: list[str]) -> RunConfig:
     if hasattr(ns, "tau") and not (math.isfinite(ns.tau) and ns.tau >= 0):
         parser.error(f"--tau must be finite and >= 0, got {ns.tau!r}")
     # A subnormal scale rounds distinct energies to ties and reorders levels.
-    if hasattr(ns, "hbar_omega0") and not sys.float_info.min <= ns.hbar_omega0 <= sys.float_info.max:
+    if not sys.float_info.min <= ns.hbar_omega0 <= sys.float_info.max:
         parser.error(f"--hbar-omega0 must be a normal positive float, got {ns.hbar_omega0!r}")
-    if hasattr(ns, "n_max") and not 1 <= ns.n_max <= MAX_N_MAX:
+    if not 1 <= ns.n_max <= MAX_N_MAX:
         parser.error(f"--n-max must be in [1, {MAX_N_MAX}], got {ns.n_max}")
-    if hasattr(ns, "count_limit") and not 2 <= ns.count_limit <= MAX_COUNT_LIMIT:
+    if not 2 <= ns.count_limit <= MAX_COUNT_LIMIT:
         parser.error(f"--count-limit must be in [2, {MAX_COUNT_LIMIT}], got {ns.count_limit}")
-    if hasattr(ns, "primary_gap"):
-        if not (math.isfinite(ns.primary_gap) and math.isfinite(ns.secondary_gap)):
-            parser.error("--primary-gap and --secondary-gap must be finite")
-        if ns.primary_gap < 0 or ns.secondary_gap < 0:
-            parser.error("--primary-gap and --secondary-gap must be >= 0")
-        # levels and fit never grade secondary closures.
-        if ns.command not in ("levels", "fit") and not ns.secondary_gap < ns.primary_gap:
-            parser.error("--secondary-gap must be below --primary-gap")
+    if not (math.isfinite(ns.primary_gap) and math.isfinite(ns.secondary_gap)):
+        parser.error("--primary-gap and --secondary-gap must be finite")
+    if ns.primary_gap < 0 or ns.secondary_gap < 0:
+        parser.error("--primary-gap and --secondary-gap must be >= 0")
+    # levels and fit never grade secondary closures.
+    if ns.command not in ("levels", "fit") and not ns.secondary_gap < ns.primary_gap:
+        parser.error("--secondary-gap must be below --primary-gap")
     if hasattr(ns, "slack") and ns.slack < 0:
         parser.error(f"--slack must be >= 0, got {ns.slack}")
     if hasattr(ns, "grid_spec"):

@@ -9,7 +9,7 @@ resulting f1 score.  The fit checks its arguments on the first grid point
 through predicted_primary_magics, and reads the other points off an
 event sweep that carries the state of the record-free kernel of shells
 along the grid on certified signs of level differences.  It matches each
-distinct magic list once.
+run of one magic list once.
 """
 
 import math
@@ -265,19 +265,16 @@ def fit_tau(
             raise ValueError("tau_grid must be strictly ascending")
     if grid[0] <= 0:
         raise ValueError("tau_grid values must be positive")
-    # The first point takes the reference path, which checks every argument
-    # but tau, and is scored first, which checks slack.
-    first = tuple(predicted_primary_magics(grid[0], primary_gap, count_limit, hbar_omega0, n_max))
-    scores = {first: match_magics(first, ds, slack=slack, include_paren=False).f1}
+    # The reference path at the first point checks every argument but tau and slack.
+    predicted_primary_magics(grid[0], primary_gap, count_limit, hbar_omega0, n_max)
     states = _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max)
-    tail = ((tuple(predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max)),)
+    tail = (tuple(predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max))
             for tau in grid[len(states):])  # past the sweep's points, the reference path raises
     trace = []
-    for (predicted, *_), run in groupby(chain(states, tail)):  # a carried run shares one state
-        if predicted not in scores:
-            scores[predicted] = match_magics(predicted, ds, slack=slack, include_paren=False).f1
+    for predicted, run in groupby(chain(map(itemgetter(0), states), tail)):  # scored once a run
+        f1 = match_magics(predicted, ds, slack=slack, include_paren=False).f1
         start = len(trace)
-        trace += zip(grid[start:start + len(list(run))], repeat(scores[predicted]))
+        trace += zip(grid[start:start + len(list(run))], repeat(f1))
     tau_best, score_best = max(trace, key=itemgetter(1))  # the first, so the smallest tau
     return FitResult(tau_best, score_best, tuple(trace))
 

@@ -171,9 +171,10 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     if not complete:
         if next_shell_floor > kept[-1].energy:
             reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
-        else:
+        else:  # past 1e10, .6f prints more digits than a double holds
+            energy = kept[-1].energy
             reason = (f"shell {p.n_max + 1} starts below the truncation energy "
-                      f"{kept[-1].energy:.6f}")
+                      f"{energy:{'.6f' if energy < 1e10 else '.6e'}}")
         raise InsufficientNMaxError(
             f"n_max={p.n_max} is too small for count_limit={count_limit}: "
             f"{reason}; use n_max >= {_required_n_max(p, count_limit)}"

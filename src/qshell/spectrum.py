@@ -231,13 +231,10 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
     """
     tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0
-    if tau == 0.0:
-        if not math.isfinite(hbar_omega0 * n_hi):
-            raise _overflow(p, n_hi)
-        return [hbar_omega0 * n for n in _shape(n_hi)[0]], hbar_omega0 * (n_hi + 1)
     try:  # _level_energy's operations, the per-level copy, shared per shell and per l
         sinh_tau = math.sinh(tau)
-        bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)]
+        # At tau = 0, [k] = k, q = 1 and q tanh(tau) = 0: the same tables give n hbar_omega0.
+        bracket = [math.sinh(tau * k) / sinh_tau for k in range(n_hi + 2)] if tau else range(n_hi + 2)
         q = math.exp(tau)
         casimir_coeff = q * math.tanh(tau)
         shell = [bracket[n] * q ** (n + 1) for n in range(n_hi + 1)]

@@ -349,11 +349,13 @@ def test_fit_follows_its_own_n_max_advice(capsys):
 
 def test_n_max_advice_near_cancellation_exits_1(capsys):
     # The n_max search's trial column (shells 0..31) cancels at tau = 7.5, but
-    # shells 0..24 do not, and n_max 24 holds the 5000 particles.
+    # shells 0..24 do not, and n_max 24 holds the 5000 particles.  The
+    # truncation energy, a 144-digit number, is printed in exponent form.
     argv = ["magics", "--tau", "7.5", "--count-limit", "5000"]
     status, out = capture(parse_args(argv + ["--n-max", "22"]))
     assert status == 1 and out == ""
-    assert capsys.readouterr().err.endswith("; use n_max >= 24\n")
+    assert capsys.readouterr().err.endswith(
+        "shell 23 starts below the truncation energy 2.075770e+143; use n_max >= 24\n")
     assert capture(parse_args(argv + ["--n-max", "24"]))[0] == 0
 
 

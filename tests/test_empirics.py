@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from pathlib import PurePosixPath
 from unittest import mock
 
@@ -958,14 +959,35 @@ def test_fit_raises_at_the_first_non_finite_or_failing_point(grid, count_limit, 
     ((0.0738, 0.074, 0.0742), 1.435134),
     ((0.0834, 0.084, 0.0846), 0.199115),
 ])
-def test_sweep_sees_a_gap_that_crosses_the_threshold_and_back(grid, primary_gap):
+def test_sweep_sees_a_gap_that_crosses_the_threshold_and_back(grid, primary_gap, monkeypatch):
     # The ends share their level order, their cut and their magic list, but
     # one kept gap rises above primary_gap between them: their margins do
-    # not cover the drift over h, so the middle point is evaluated.
+    # not cover the drift over h, so the middle point is evaluated.  The
+    # lists run A, B, A, and the fit scores each run once at most.
     ds = load_named_dataset("martin")
     lists = [predicted_primary_magics(tau, primary_gap, 1520) for tau in grid]
     assert lists[0] == lists[2] != lists[1]
-    assert fit_tau(ds, grid, primary_gap, 1520).grid == _direct_trace(ds, grid, primary_gap, 1520)
+    expected = _direct_trace(ds, grid, primary_gap, 1520)
+    scored = _scored(monkeypatch)
+    assert fit_tau(ds, grid, primary_gap, 1520).grid == expected
+    assert len(scored) <= 3
+
+
+def _scored(monkeypatch):
+    # The magic lists of fit_tau's match_magics calls.
+    scored, match = [], empirics.match_magics
+    monkeypatch.setattr(empirics, "match_magics",
+                        lambda p, *args, **kwargs: scored.append(p) or match(p, *args, **kwargs))
+    return scored
+
+
+def test_fit_scores_each_run_of_one_magic_list_once(monkeypatch):
+    # The 4001 points of the fine grid hold 61 runs of equal magic lists.
+    taus = [round(0.02 + i * 1e-5, 10) for i in range(4001)]
+    runs = len(list(groupby(primaries for primaries, _ in _kernel_states(taus, 0.39, 1520))))
+    scored = _scored(monkeypatch)
+    fit_tau(load_named_dataset("martin"), taus, 0.39, 1520)
+    assert len(scored) == runs == 61
 
 
 def test_sweep_raises_at_the_first_point_that_needs_a_larger_n_max():
