@@ -42,11 +42,10 @@ MAX_N_MAX = 200
 MAX_COUNT_LIMIT = 1_000_000
 # Largest total work of a fit: tau grid points times the levels of shells
 # 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
-# microseconds per level, so this bounds a fit to a few seconds; the
-# 4001-point fine grid at the defaults is 676169.  The fit's event sweep
-# runs the kernel at 5 of those 4001 points (with 676 stations): where a
-# carry breaks, and at each point while that point holds a tie.  Levels
-# that cross or tie at every point put it at each, so the cap is on points.
+# microseconds per level, so this bounds a fit to a few seconds.  The fit's
+# event sweep runs the kernel at few points: where a carry breaks, and at
+# each point while that point holds a tie.  Levels that cross or tie at
+# every point put it at each, so the cap is on points.
 MAX_FIT_LEVELS = 10_000_000
 
 
@@ -134,11 +133,11 @@ def _parse_grid_spec(parser: argparse.ArgumentParser, spec: str) -> tuple[float,
     if (hi - lo) / step + 1 > MAX_GRID_POINTS:
         parser.error(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
     taus = _expand_grid((lo, hi, step))
-    if taus[0] <= 0:
-        parser.error(f"--grid {spec!r} starts at a point that rounds to tau = 0 (10 decimals)")
+    if not taus or taus[0] <= 0:  # below a 1e-10 step, rounding may lift lo past hi
+        parser.error(f"--grid {spec!r} starts at a point that rounds to 0 or past hi (10 decimals)")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         parser.error(f"--grid {spec!r} has points that round to the same tau (10 decimals)")
-    if len(taus) > MAX_GRID_POINTS:  # points up to hi + 1e-9 may pass the estimate above
+    if len(taus) > MAX_GRID_POINTS:  # rounding may keep a point past the estimate above
         parser.error(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
     return lo, hi, step
 
@@ -185,17 +184,13 @@ def _level_count(n_max: int) -> int:
 
 @lru_cache(maxsize=1)  # parse_args checks the grid that fit then scans
 def _expand_grid(grid: tuple[float, float, float]) -> tuple[float, ...]:
-    # Within the (hi - lo) / step cap, rising points pass hi by ten steps at
-    # most; points that stall under rounding repeat or round to 0, which
-    # _parse_grid_spec refuses, long before twice the cap.
+    # Points stop at hi, or up to half a step (1e-9 at most) past it to keep
+    # an endpoint that rounding lifts.  Points that stall under rounding
+    # repeat or round to 0, which _parse_grid_spec refuses, before twice the cap.
     lo, hi, step = grid
+    end = hi + min(1e-9, step / 2)
     taus = (round(lo + i * step, 10) for i in count())
-    return tuple(islice(takewhile(lambda tau: tau <= hi + 1e-9, taus), 2 * MAX_GRID_POINTS))
-
-
-def _config_dict(config: RunConfig) -> dict:
-    return {name: list(value) if isinstance(value, tuple) else value
-            for name, value in zip(config._fields, config)}
+    return tuple(islice(takewhile(end.__ge__, taus), 2 * MAX_GRID_POINTS))
 
 
 def _emit(config: RunConfig, header: tuple[str, ...], rows: list, payload: dict) -> str:
@@ -211,7 +206,7 @@ def _emit(config: RunConfig, header: tuple[str, ...], rows: list, payload: dict)
         writer.writerows(rows)
         return buf.getvalue()
     import json
-    payload = {"config": _config_dict(config), **payload}
+    payload = {"config": config._asdict(), **payload}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -294,7 +289,7 @@ def _cmd_compare(config: RunConfig) -> str:
     rows += [("unmatched-observed", "", o) for o in unmatched_o]
     return _emit(config, ("kind", "predicted", "observed"), rows, {
         "dataset": dataset.source,
-        "pairs": [list(pair) for pair in report.matched_pairs],
+        "pairs": report.matched_pairs,
         "unmatched_predicted": unmatched_p,
         "unmatched_observed": unmatched_o,
         "tp": report.true_positives,
@@ -315,7 +310,7 @@ def _cmd_fit(config: RunConfig) -> str:
         return "\n".join(lines) + "\n"
     return _emit(config, ("tau", "f1"), result.grid, {
         "dataset": dataset.source,
-        "grid": [list(point) for point in result.grid],
+        "grid": result.grid,
         "tau_best": result.tau_best,
         "score_best": result.score_best,
     })

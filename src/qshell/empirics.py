@@ -254,8 +254,7 @@ def fit_tau(
     The objective (f1 of the matching) is a step function of tau,
     so derivative-free search over an explicit grid is the right tool.
     Ties keep the smallest tau.  The trace equals evaluating every grid
-    point, but _sweep runs the kernel at few of them (5 of the 4001 points
-    of 0.02:0.06:0.00001 at the defaults, with 676 stations).
+    point, but _sweep runs the kernel at few of them.
     """
     grid = [float(t) for t in tau_grid]
     if not grid:
@@ -305,8 +304,9 @@ def _reach(h, q_a, q_s, bound, rounding) -> float:
 def _stretches(tau0, tau_last, n_max, hbar_omega0):
     """stretches(tau): (top, tables) of each stretch from tau's to tau_last's.  Stretch r, over
     which the bounds about double, ends at tau0 + r ln 2 / (2 n_max + 2): _drift_bounds' there."""
-    bounds_at, rise = _drift_bounds(n_max, hbar_omega0), math.log(2) / (2 * n_max + 2)
-    stretch = lru_cache(None)(lambda r: (tau0 + r * rise, bounds_at(tau0 + r * rise)))
+    rise = math.log(2) / (2 * n_max + 2)
+    stretch = lru_cache(None)(
+        lambda r: (tau0 + r * rise, _drift_bounds(n_max, hbar_omega0, tau0 + r * rise)))
     def holding(tau):  # the quotient may round down to a stretch whose top is not above tau
         r = int((tau - tau0) / rise) + 1
         return r + (tau0 + r * rise <= tau)
@@ -366,9 +366,10 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     states = [None] * stop
     live, heap = {}, []  # pair -> [tau, value, end of its certificate (-inf expired), kind]
 
-    def carry(s, point):  # from s, the kernel's, to the first station the kernel takes, or stop
+    def carry(s):  # from states[s], the kernel's, to the first station the kernel takes, or stop
         nonlocal live, heap
-        k, order = point.cut[0], [levels[x] for x in point.cut[1]]
+        since, state = s, states[s]
+        k, order = state[1][0], [levels[x] for x in state[1][1]]
 
         def adjacent(lo, hi):  # pair -> kind: True a kept gap, else False (an outsider: None)
             pairs = {(order[j], order[j + 1]): j < k - 1
@@ -401,7 +402,6 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         live = {p: rec for p, rec in live.items() if pairs.get(p, 0) is rec[3] and rec[2] > grid[s]}
         heap = sorted((rec[2], p) for p, rec in live.items())  # a sorted list is a heap
         start(s, {pair: kind for pair, kind in pairs.items() if pair not in live})
-        since, state = s, (tuple(point.primaries), point.cut)
         while (s := bisect_left(grid, heap[0][0], s + 1, stop)) < stop:
             energy, expired, bad, changed = _level_energy(grid[s], hbar_omega0), [], [], False
             while heap and heap[0][0] <= grid[s]:
@@ -440,5 +440,5 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     i = 0
     while i < stop and (point := _fit_point(params(i), count_limit, primary_gap)):
         states[i] = tuple(point.primaries), point.cut
-        i = carry(i, point) if i and not point.tied else i + 1
+        i = carry(i) if i and not point.tied else i + 1
     return states[:i]

@@ -265,8 +265,8 @@ def _level_energy(tau: float, hbar_omega0: float):
         sinh(tau * l) / sinh_tau * (sinh(tau * (l + 1)) / sinh_tau)))
 
 
-def _drift_bounds(n_max: int, hbar_omega0: float):
-    """A function of tau_hi giving (S2, C2, S_err, C_err) for the levels of shells 0..n_max + 1.
+def _drift_bounds(n_max: int, hbar_omega0: float, tau_hi: float) -> tuple[list[float], ...]:
+    """(S2, C2, S_err, C_err) for the levels of shells 0..n_max + 1.
 
     Over 0 <= tau <= tau_hi, |S2[n] - S2[n']| + |C2[l] - C2[l']| bounds the
     second derivative of E(n, l) - E(n', l'), and S_err[n] + C_err[l] the
@@ -285,26 +285,22 @@ def _drift_bounds(n_max: int, hbar_omega0: float):
     top = n_max + 1
     odd = [2 * i - 1 for i in range(1, top + 1)]
     s2 = [4 * m * m for m in range(1, top + 1)]
-
-    def bounds(tau_hi: float) -> tuple[list[float], ...]:
-        try:
-            powers = list(accumulate(repeat(math.exp(2 * tau_hi), top), operator.mul))
-            cosh = [math.cosh(k * tau_hi) for k in odd]
-            sinh = [math.sinh(k * tau_hi) for k in odd]
-        except OverflowError:
-            return ([math.inf] * (top + 1),) * 4
-        y = math.exp(tau_hi)
-        f = y * math.tanh(tau_hi)
-        scale = hbar_omega0 * (1 + 1e-9)
-        error = scale * _term_error(tau_hi, n_max)
-        # Term i of 2 y P_l + 2.5 y P_l' + f P_l'', before the weight l - i + 1.
-        terms = [2 * c * (2 * y + f * k * k) + 5 * y * k * s for k, c, s in zip(odd, cosh, sinh)]
-        return ([scale * s for s in accumulate(map(operator.mul, s2, powers), initial=0.0)],
-                [scale * c for c in accumulate(accumulate(terms), initial=0.0)],
-                [error * s for s in accumulate(powers, initial=0.0)],
-                [error * f * p for p in accumulate(accumulate(2 * c for c in cosh), initial=0.0)])
-
-    return bounds
+    try:
+        powers = list(accumulate(repeat(math.exp(2 * tau_hi), top), operator.mul))
+        cosh = [math.cosh(k * tau_hi) for k in odd]
+        sinh = [math.sinh(k * tau_hi) for k in odd]
+    except OverflowError:
+        return ([math.inf] * (top + 1),) * 4
+    y = math.exp(tau_hi)
+    f = y * math.tanh(tau_hi)
+    scale = hbar_omega0 * (1 + 1e-9)
+    error = scale * _term_error(tau_hi, n_max)
+    # Term i of 2 y P_l + 2.5 y P_l' + f P_l'', before the weight l - i + 1.
+    terms = [2 * c * (2 * y + f * k * k) + 5 * y * k * s for k, c, s in zip(odd, cosh, sinh)]
+    return ([scale * s for s in accumulate(map(operator.mul, s2, powers), initial=0.0)],
+            [scale * c for c in accumulate(accumulate(terms), initial=0.0)],
+            [error * s for s in accumulate(powers, initial=0.0)],
+            [error * f * p for p in accumulate(accumulate(2 * c for c in cosh), initial=0.0)])
 
 
 def enumerate_levels(p: ModelParameters) -> list[Level]:

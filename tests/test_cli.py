@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshell import cli
 from qshell.cli import (
@@ -30,6 +31,12 @@ PRIMARY_MAGICS = [
     2, 8, 20, 34, 40, 58, 92, 138, 198, 254, 268, 338, 440, 556, 676,
     694, 832, 912, 1012, 1100, 1206, 1284, 1314, 1410, 1502,
 ]
+
+
+# A grid within the (hi - lo) / step estimate of 100000 points that expands
+# to 100001: each point is a whole number of ulps from lo, the last rounds down
+# by nearly half a step, and hi + step / 2 rounds up to meet it.
+OVERSHOOT = "10000.000000000107:10000.000010004449:1.000444171950221e-10"
 
 
 def capture(config):
@@ -99,10 +106,10 @@ def test_fit_grid_parsing():
         ["fit", "--dataset", "martin", "--n-max", "199", "--grid", "0.001:1:0.001"],
         ["fit", "--dataset", "martin", "--grid", "0.02:0.02:1e-20"],
         ["fit", "--dataset", "martin", "--grid", "1e-300:1e-299:1e-300"],
-        # Within the (hi - lo) / step estimate, but points up to hi + 1e-9
-        # expand them to 100005 and 100001 points.
-        ["fit", "--dataset", "martin", "--n-max", "1", "--grid", "0.1:0.1000099994:1e-10"],
-        ["fit", "--dataset", "martin", "--n-max", "1", "--grid", "0.1:0.100099999:1e-9"],
+        # 100001 points by the (hi - lo) / step estimate, and within it but
+        # 100001 points once rounded (OVERSHOOT).
+        ["fit", "--dataset", "martin", "--n-max", "1", "--grid", "0.1:0.10001:1e-10"],
+        ["fit", "--dataset", "martin", "--n-max", "1", "--grid", OVERSHOOT],
         ["magics", "--primary-gap", "nan"],
         ["fit", "--dataset", "martin", "--secondary-gap", "inf"],
     ],
@@ -165,14 +172,46 @@ def test_subnormal_hbar_omega0_is_a_usage_error(value, capsys):
 
 def test_grid_expansion_is_bounded_and_keeps_accepted_grids():
     # Points that stall under rounding used to expand until memory ran out;
-    # a grid whose points rise keeps every point, even past the 1e-9 of hi,
-    # and the cap is on those points: 100000 pass, 100001 do not.
+    # a grid whose points rise keeps every point it reaches, and the cap is
+    # on those points: 100000 pass, 100001 do not, by the estimate or after
+    # the expansion.
     assert len(_expand_grid((0.02, 0.02, 1e-20))) == 2 * MAX_GRID_POINTS
-    assert len(_expand_grid((0.1, 0.1000099994, 1e-10))) == MAX_GRID_POINTS + 5
     argv = ["fit", "--dataset", "martin", "--n-max", "1", "--grid"]
-    assert len(_expand_grid(parse_args(argv + ["0.1:0.1000099989:1e-10"]).tau_grid)) == 100_000
-    with pytest.raises(SystemExit):
-        parse_args(argv + ["0.1:0.100009999:1e-10"])
+    for spec in ("0.1:0.1000099999:1e-10", "0.1:0.100099999:1e-9"):
+        assert len(_expand_grid(parse_args(argv + [spec]).tau_grid)) == MAX_GRID_POINTS
+    lo, hi, step = map(float, OVERSHOOT.split(":"))
+    assert (hi - lo) / step + 1 <= MAX_GRID_POINTS < len(_expand_grid((lo, hi, step)))
+    for spec in ("0.1:0.10001:1e-10", OVERSHOOT):
+        with pytest.raises(SystemExit):
+            parse_args(argv + [spec])
+
+
+class _Refusing:
+    def error(self, message):
+        raise ValueError(message)
+
+
+@settings(deadline=None)
+@given(lo=st.floats(min_value=1e-10, max_value=1e4), points=st.integers(min_value=1, max_value=3000),
+       share=st.floats(min_value=0.0, max_value=1.0), step=st.floats(min_value=1e-12, max_value=1.0))
+def test_grid_stops_at_hi(lo, points, share, step):
+    # Every accepted grid rises strictly from lo, rounded to 10 decimals, and
+    # stops at hi, less than half a step past it (1e-9 at most).
+    hi = lo + (points - 1 + share) * step
+    try:
+        grid = cli._parse_grid_spec(_Refusing(), f"{lo!r}:{hi!r}:{step!r}")
+    except ValueError:
+        return
+    taus = _expand_grid(grid)
+    assert taus[0] == round(lo, 10) and taus[-1] <= hi + min(1e-9, step / 2)
+    assert all(a < b for a, b in zip(taus, taus[1:]))
+
+
+def test_fit_grid_ends_at_hi_below_a_nanosecond_step():
+    # Points up to hi + 1e-9 gave 11 taus, up to 1.001e-06.
+    status, out = capture(parse_args(["fit", "--dataset", "martin", "--grid", "1e-6:1e-6:1e-10"]))
+    assert status == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["tau", "best"]
 
 
 def test_grid_rounding_to_tau_zero_is_a_usage_error(capsys):

@@ -666,7 +666,7 @@ def test_sweep_keeps_outside_levels_past_their_station_margin(monkeypatch):
     # (7, 5)'s place.  Only the station margin of the pair ((7, 5), (8, 8))
     # sees it; a sign check alone would carry the old state there.
     count_limit, top, first, lower = 211, (7, 5), (8, 8), (8, 6)
-    _, _, shell_error, casimir_error = _drift_bounds(24, 1.0)(0.042)
+    _, _, shell_error, casimir_error = _drift_bounds(24, 1.0, 0.042)
     delta = (shell_error[8] + casimir_error[6]) / 2
 
     def v(tau):
@@ -872,9 +872,8 @@ def test_every_carried_point_is_certified(monkeypatch):
         certificates.setdefault(pair, []).append((tau_s, end, thresholds, v_s))
         return end
 
-    def drift_bounds(*args):
-        bounds = bounds_at(*args)
-        return lambda tau_hi: rung_tops.add(tau_hi) or bounds(tau_hi)
+    def drift_bounds(n_max, hbar_omega0, tau_hi):
+        return rung_tops.add(tau_hi) or bounds_at(n_max, hbar_omega0, tau_hi)
 
     rung_tops, bounds_at = set(), empirics._drift_bounds
     monkeypatch.setattr(empirics, "_certified", spy)

@@ -493,7 +493,7 @@ def test_drift_bounds_hold(tau_hi, share, n_max, hw, first, second):
     # of the difference of two levels of shells 0..n_max + 1, and
     # S_err[n] + C_err[l] the rounding of each level's energy; the top
     # entries sum the terms of the one global bound.
-    shell2, casimir2, shell_error, casimir_error = _drift_bounds(n_max, hw)(tau_hi)
+    shell2, casimir2, shell_error, casimir_error = _drift_bounds(n_max, hw, tau_hi)
     m = shell2[-1] + casimir2[-1]
     assert m == pytest.approx(_global_curvature_bound(n_max, hw, tau_hi), rel=1e-12, abs=0)
     for table in (shell2, casimir2, shell_error, casimir_error):
