@@ -27,7 +27,7 @@ from .shells import (
     detect_shells,
     render_table,
 )
-from .spectrum import ModelParameters
+from .spectrum import ModelParameters, _shape
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -40,11 +40,11 @@ MAX_GRID_POINTS = 100_000
 # about 0.15 s; a fit builds one at its first point and where its sweep stops.
 MAX_N_MAX = 200
 MAX_COUNT_LIMIT = 1_000_000
-# Largest total work of a fit: tau grid points times the levels of shells
-# 0..n_max (169 at the default n_max of 24).  A fit point costs about 0.3
-# microseconds per level, so this bounds a fit to a few seconds.  The fit's
-# event sweep runs the kernel at few points: where a carry breaks, and at
-# each point while that point holds a tie.  Levels that cross or tie at
+# Largest total work of a fit: tau grid points times the levels of the
+# _shape(n_max) table (169 at the default n_max of 24).  A fit point costs
+# about 0.3 microseconds per level, so this bounds a fit to a few seconds.
+# The fit's event sweep runs the kernel where a carry breaks, at ties, and
+# past a kernel point whose state is new.  Levels that cross or tie at
 # every point put it at each, so the cap is on points.
 MAX_FIT_LEVELS = 10_000_000
 
@@ -168,18 +168,13 @@ def parse_args(argv: list[str]) -> RunConfig:
         parser.error(f"--slack must be >= 0, got {ns.slack}")
     if hasattr(ns, "grid_spec"):
         ns.tau_grid = _parse_grid_spec(parser, ns.grid_spec)
-        work = len(_expand_grid(ns.tau_grid)) * _level_count(ns.n_max)
+        work = len(_expand_grid(ns.tau_grid)) * len(_shape(ns.n_max)[0])
         if work > MAX_FIT_LEVELS:
             parser.error(f"fit would build {work} levels (grid points x levels per "
                          f"scheme), more than {MAX_FIT_LEVELS}; use a coarser --grid "
                          f"or a smaller --n-max")
 
     return RunConfig(**{k: v for k, v in vars(ns).items() if k in RunConfig._fields})
-
-
-def _level_count(n_max: int) -> int:
-    # Shell n holds n // 2 + 1 levels; summed over n = 0..n_max.
-    return (n_max // 2 + 1) * ((n_max + 1) // 2 + 1)
 
 
 @lru_cache(maxsize=1)  # parse_args checks the grid that fit then scans

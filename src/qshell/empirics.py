@@ -342,7 +342,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     primary_gap, or a swap of two kept levels whose new neighbours are in
     strict order, is repaired in place; any other change goes to _fit_point,
     an exact tie included.  The kernel runs where a carry breaks and goes on
-    while a point holds a tie or is the first (a carry needs the one before).
+    while a point is the first (a carry needs the one before), holds a tie, or
+    follows a kernel point of another state (on a coarse grid, no carry pays).
     A certificate depends on its pair and thresholds alone, so the next
     carried state keeps each that reaches it on a pair of the same kind, as
     kinetic data structures do (Basch, Guibas and Hershberger, SODA 1997).
@@ -437,8 +438,9 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         states[since:s] = repeat(state, s - since)
         return s
 
-    i = 0
+    i = last = 0  # last: the kernel's point before i
     while i < stop and (point := _fit_point(params(i), count_limit, primary_gap)):
         states[i] = tuple(point.primaries), point.cut
-        i = carry(i) if i and not point.tied else i + 1
+        go = i and not point.tied and (last < i - 1 or states[i - 1] == states[i])
+        last, i = i, carry(i) if go else i + 1
     return states[:i]

@@ -26,9 +26,8 @@ repr(energy)).  Both refuse a tau where the two terms overflow or cancel
 to more than a relative 1e-6 of rounding (above tau of about 8).
 _drift_bounds bounds, for the sweep, the curvature of level differences
 and the rounding of each level.
-The levels follow the tau-independent (n, l, 2(2l+1)) shape of the
-table, cached and checked against Level's rules once per n_max, so
-enumerate_levels() makes its Level records without checking them again.
+The tau-independent (n, l, 2(2l+1)) columns of the table come from
+allowed_l, cached per n_max, so enumerate_levels() checks no Level.
 """
 
 import math
@@ -69,10 +68,8 @@ class Level(_Record, namedtuple("Level", "n l energy degeneracy")):
     __slots__ = ()
 
     def __new__(cls, n: int, l: int, energy: float, degeneracy: int):
-        # Checked inline for speed; on a failure _check_branching raises if
-        # the branching rule is broken, else the capacity is wrong.
-        if not (0 <= l <= n and (n - l) % 2 == 0 and degeneracy == 4 * l + 2):
-            _check_branching(n, l)
+        _check_branching(n, l)
+        if degeneracy != 2 * (2 * l + 1):
             raise ValueError(f"degeneracy {degeneracy} != 2(2l+1) = {2 * (2 * l + 1)}")
         return tuple.__new__(cls, (n, l, energy, degeneracy))
 
@@ -160,14 +157,12 @@ def _shape(n_hi: int) -> tuple[tuple[int, ...], ...]:
 
     Returns (ns, ls, degeneracies, by_n_l): the n, l and 2(2l+1) of each
     level in (n, descending l) enumeration order, and the indices that
-    visit the levels in (n, ascending l) order.  Every (n, l, 2(2l+1))
-    passes Level's check here, once per n_hi, so the per-tau table can
-    build its levels without repeating it.
+    visit the levels in (n, ascending l) order.  allowed_l gives each
+    shell's l's, so every (n, l, 2(2l+1)) is one Level accepts.
     """
-    levels = [Level(n, l, 0.0, 2 * (2 * l + 1)) for n in range(n_hi + 1) for l in allowed_l(n)]
-    ns, ls, _, degeneracies = zip(*levels)
+    ns, ls = zip(*[(n, l) for n in range(n_hi + 1) for l in allowed_l(n)])
     by_n_l = sorted(range(len(ns)), key=lambda i: (ns[i], ls[i]))
-    return ns, ls, degeneracies, tuple(by_n_l)
+    return ns, ls, tuple(2 * (2 * l + 1) for l in ls), tuple(by_n_l)
 
 
 def _overflow(p: ModelParameters, n_hi: int) -> ValueError:
@@ -310,5 +305,5 @@ def enumerate_levels(p: ModelParameters) -> list[Level]:
     """
     ns, ls, degeneracies, _ = _shape(p.n_max)
     energies, _ = _energies_up_to(p, p.n_max)
-    # _shape checked every (n, l, degeneracy), and Level checks nothing else.
+    # _shape takes each (n, l) from allowed_l, so Level's check would pass.
     return list(map(tuple.__new__, repeat(Level), zip(ns, ls, energies, degeneracies)))

@@ -602,14 +602,18 @@ def test_sweep_matches_every_point_of_a_fine_grid(grid, options, most_kernel_cal
     assert len(station_taus) <= most_stations
 
 
-@pytest.mark.parametrize("grid", [(0.02, 0.06, 1e-5), (0.1, 1.0, 5e-4), (0.02, 0.3, 1e-4)])
-def test_sweep_carries_from_every_untied_kernel_point(grid, monkeypatch):
+def _taus(lo, hi, step):
+    return [round(lo + i * step, 10) for i in range(round((hi - lo) / step) + 1)]
+
+
+@pytest.mark.parametrize("grid", [(0.02, 0.06, 1e-5), (0.1, 1.0, 5e-4), (0.02, 0.3, 1e-4),
+                                  (0.03, 0.046, 0.004), (0.02, 0.06, 0.002)])
+def test_sweep_carries_from_a_kernel_point_after_a_carry_or_its_own_state(grid, monkeypatch):
     # Past the first point, a kernel point that holds no tie starts a carry,
-    # whose first act is to evaluate levels, whether or not its state is the
-    # one before's; after a tied point, or the first, the kernel takes the
-    # next point.  The states are still the kernel's at every point.
-    lo, hi, step = grid
-    taus = [round(lo + i * step, 10) for i in range(round((hi - lo) / step) + 1)]
+    # whose first act is to evaluate levels, if the point before it was
+    # carried or holds its state; else the kernel takes the next point.  The
+    # states are still the kernel's at every point.
+    taus = _taus(*grid)
     events, kernel, level_energy = [], empirics._fit_point, empirics._level_energy
 
     def counted(p, *args):
@@ -620,12 +624,36 @@ def test_sweep_carries_from_every_untied_kernel_point(grid, monkeypatch):
     monkeypatch.setattr(empirics, "_level_energy",
                         lambda *args: events.append(None) or level_energy(*args))
     states = empirics._sweep(taus, 0.39, 1520, 1.0, 24)
+    kernel_points = {event[0] for event in events if event}
     for event, after in zip(events, events[1:]):
         if event:
             i, point = event
-            assert after is None if i and not point.tied else after[0] == i + 1
+            go = i and not point.tied and (i - 1 not in kernel_points or states[i - 1] == states[i])
+            assert after is None if go else after[0] == i + 1
     monkeypatch.undo()
     assert states == _kernel_states(taus, 0.39, 1520)
+
+
+@pytest.mark.parametrize("grid, count_limit, n_max", [
+    ((0.03, 0.046, 0.004), 1520, 24),
+    ((0.02, 0.06, 0.002), 1520, 24),
+    ((0.02, 0.06, 0.001), 50000, 80),
+], ids=["criterion 11", "default", "n_max 80, count_limit 50000"])
+def test_sweep_certifies_nothing_where_each_point_holds_a_new_state(grid, count_limit, n_max,
+                                                                    monkeypatch):
+    # On these grids each point's state differs from the one before, so a
+    # carry from a kernel point would certify its whole prefix and break at
+    # the next point (172, 493 and 18214 certificates): the kernel walks every
+    # point, once each, and nothing is certified.
+    taus = _taus(*grid)
+    certificates, certified = [], empirics._certified
+    monkeypatch.setattr(empirics, "_certified",
+                        lambda *args: certificates.append(args) or certified(*args))
+    kernel_taus, _ = _counted(monkeypatch)
+    states = empirics._sweep(taus, 0.39, count_limit, 1.0, n_max)
+    assert certificates == [] and kernel_taus == taus
+    monkeypatch.undo()
+    assert states == _kernel_states(taus, 0.39, count_limit, n_max=n_max)
 
 
 @pytest.mark.parametrize("grid, primary_gap, count_limit, hbar_omega0, n_max", [

@@ -2,7 +2,8 @@
 
 perfbench/golden holds the stdout of criterion 11's commands and of the
 fine-grid fit on the five experimental datasets, captured with
-perfbench/capture_golden.py.
+perfbench/capture_golden.py.  tests/golden holds that of the fit on the
+default grid, which no benchmark workload runs.
 These tests run each command in process, and again as `python -m qshell`,
 and only read those files.
 """
@@ -23,10 +24,14 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "golden"
 FINE_GRID = "0.02:0.06:0.00001"
 EXPERIMENTS = ["martin", "bjornholm", "knight", "pedersen", "brechignac"]
+DEFAULT_FIT = ["fit", "--dataset", "martin"]
 GOLDEN_RUNS = CLI_RUNS + [["fit", "--dataset", ds, "--grid", FINE_GRID] for ds in EXPERIMENTS]
+GOLDEN_RUNS += [DEFAULT_FIT]
 
 
 def _golden(argv):
+    if argv == DEFAULT_FIT:
+        return (ROOT / "tests" / "golden" / "fit_dataset_martin.out").read_bytes()
     if argv[-1] == FINE_GRID:
         return gzip.decompress((GOLDEN / "fit-fine" / f"{argv[2]}.out.gz").read_bytes())
     slug = "_".join(arg.lstrip("-") for arg in argv).replace(":", "-")
@@ -56,6 +61,11 @@ def test_fine_fit_matches_golden():
 @pytest.mark.parametrize("dataset", EXPERIMENTS[1:])
 def test_other_fine_fits_match_golden(dataset):
     assert _matches_fine_fit_golden(dataset)
+
+
+def test_default_grid_fit_matches_golden():
+    # 0.02:0.06:0.002, 21 points that each hold another state than the one before.
+    assert _stdout(DEFAULT_FIT) == _golden(DEFAULT_FIT)
 
 
 @pytest.mark.parametrize("argv", GOLDEN_RUNS, ids=" ".join)

@@ -370,22 +370,6 @@ def test_shape_columns():
     assert [(ns[i], ls[i]) for i in by_n_l] == sorted(zip(ns, ls))
 
 
-@pytest.mark.parametrize("bad_l", [
-    lambda n: [n, n - 1],   # parity
-    lambda n: [n + 2, n],   # l > n
-])
-def test_shape_checks_every_level(monkeypatch, bad_l):
-    import qshell.spectrum as spectrum
-
-    monkeypatch.setattr(spectrum, "allowed_l", bad_l)
-    _shape.cache_clear()
-    try:
-        with pytest.raises(InvalidLevelError, match="branching rule"):
-            _shape(3)
-    finally:
-        _shape.cache_clear()
-
-
 def _exact_terms(n, l, t):
     # [n] q^(n+1) and q tanh(tau) [l][l+1] at mpmath's working precision.
     bracket = lambda k: mpmath.sinh(t * k) / mpmath.sinh(t)
