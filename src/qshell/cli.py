@@ -130,7 +130,7 @@ def _parse_grid_spec(parser: argparse.ArgumentParser, spec: str) -> tuple[float,
         parser.error(f"--grid must be lo:hi:step, got {spec!r}")
     if lo <= 0 or step <= 0 or hi < lo:
         parser.error(f"--grid requires 0 < lo <= hi and step > 0, got {spec!r}")
-    if (hi - lo) / step + 1 > MAX_GRID_POINTS:
+    if (hi - lo) // step + 1 > MAX_GRID_POINTS:  # whole steps: never more than the points
         parser.error(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
     taus = _expand_grid((lo, hi, step))
     if not taus or taus[0] <= 0:  # below a 1e-10 step, rounding may lift lo past hi
@@ -271,17 +271,15 @@ def _cmd_compare(config: RunConfig) -> str:
     observed = dataset.values(include_paren=False)
     unmatched_p = [p for p in predicted if p not in matched_p]
     unmatched_o = [o for o in observed if o not in matched_o]
-    if config.format == "text":
-        lines = [f"dataset {dataset.source} ({len(observed)} entries, slack {config.slack})"]
-        lines += [f"pair {p} {o}" for p, o in report.matched_pairs]
-        lines += [f"unmatched-predicted {p}" for p in unmatched_p]
-        lines += [f"unmatched-observed {o}" for o in unmatched_o]
-        lines.append(f"tp {report.true_positives} fp {report.false_positives} fn {report.false_negatives}")
-        lines.append(f"f1 {report.f1:.6f}")
-        return "\n".join(lines) + "\n"
     rows = [("pair", p, o) for p, o in report.matched_pairs]
     rows += [("unmatched-predicted", p, "") for p in unmatched_p]
     rows += [("unmatched-observed", "", o) for o in unmatched_o]
+    if config.format == "text":  # each row's non-empty fields
+        lines = [f"dataset {dataset.source} ({len(observed)} entries, slack {config.slack})"]
+        lines += [" ".join(str(field) for field in row if field != "") for row in rows]
+        lines.append(f"tp {report.true_positives} fp {report.false_positives} fn {report.false_negatives}")
+        lines.append(f"f1 {report.f1:.6f}")
+        return "\n".join(lines) + "\n"
     return _emit(config, ("kind", "predicted", "observed"), rows, {
         "dataset": dataset.source,
         "pairs": report.matched_pairs,

@@ -369,7 +369,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
 
     def carry(s):  # from states[s], the kernel's, to the first station the kernel takes, or stop
         nonlocal live, heap
-        since, state = s, states[s]
+        state = states[s]
         k, order = state[1][0], [levels[x] for x in state[1][1]]
 
         def adjacent(lo, hi):  # pair -> kind: True a kept gap, else False (an outsider: None)
@@ -385,8 +385,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
             live[pair] = [tau_s, v_s, end, kind]
             heappush(heap, (end, pair))
 
-        def start(s, pairs):  # pairs new at s take their first value at s - 1
-            then, now = _level_energy(grid[s - 1], hbar_omega0), _level_energy(grid[s], hbar_omega0)
+        def start(s, pairs, now):  # pairs new at s: values at s - 1, and at s from now, s's table
+            then = _level_energy(grid[s - 1], hbar_omega0)
             for (a, b), kind in pairs.items():
                 certify((a, b), kind, grid[s - 1], then(*b) - then(*a), grid[s], now(*b) - now(*a))
 
@@ -402,7 +402,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
                 break
         live = {p: rec for p, rec in live.items() if pairs.get(p, 0) is rec[3] and rec[2] > grid[s]}
         heap = sorted((rec[2], p) for p, rec in live.items())  # a sorted list is a heap
-        start(s, {pair: kind for pair, kind in pairs.items() if pair not in live})
+        start(s, {pair: kind for pair, kind in pairs.items() if pair not in live},
+              _level_energy(grid[s], hbar_omega0))
         while (s := bisect_left(grid, heap[0][0], s + 1, stop)) < stop:
             energy, expired, bad, changed = _level_energy(grid[s], hbar_omega0), [], [], False
             while heap and heap[0][0] <= grid[s]:
@@ -425,17 +426,16 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
                 new = {(x, y): kind for (x, y), kind in pairs.items() if (x, y) not in live}
                 if not all(energy(*y) > energy(*x) for x, y in new):
                     break
-                start(s, new)
+                start(s, new, energy)
             for pair, rec, v in expired:
                 if pair in live:
                     certify(pair, rec[3], rec[0], rec[1], grid[s], v)
-            if changed:
-                states[since:s] = repeat(state, s - since)
+            if changed:  # a state is written where it starts; a list that holds keeps its tuple
                 cut = tuple(map(index.__getitem__, order))
                 totals = accumulate(map(_shape(n_max)[2].__getitem__, cut))
                 above = (live[pair][1] > primary_gap for pair in zip(order, order[1:k]))
-                since, state = s, (tuple(compress(totals, above)), (k, cut))
-        states[since:s] = repeat(state, s - since)
+                primaries = tuple(compress(totals, above))
+                states[s] = state = (state[0] if primaries == state[0] else primaries, (k, cut))
         return s
 
     i = last = 0  # last: the kernel's point before i
@@ -443,4 +443,4 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         states[i] = tuple(point.primaries), point.cut
         go = i and not point.tied and (last < i - 1 or states[i - 1] == states[i])
         last, i = i, carry(i) if go else i + 1
-    return states[:i]
+    return [held := new or held for new in states[:i]]  # a carried point holds the one before

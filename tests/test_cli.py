@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshell import cli
+from qshell import bundled_dataset_names, cli
 from qshell.cli import (
     MAX_COUNT_LIMIT,
     MAX_FIT_LEVELS,
@@ -33,7 +33,7 @@ PRIMARY_MAGICS = [
 ]
 
 
-# A grid within the (hi - lo) / step estimate of 100000 points that expands
+# A grid within the (hi - lo) // step + 1 estimate of 100000 points that expands
 # to 100001: each point is a whole number of ulps from lo, the last rounds down
 # by nearly half a step, and hi + step / 2 rounds up to meet it.
 OVERSHOOT = "10000.000000000107:10000.000010004449:1.000444171950221e-10"
@@ -170,20 +170,23 @@ def test_subnormal_hbar_omega0_is_a_usage_error(value, capsys):
     assert parse_args(["levels", "--hbar-omega0", repr(sys.float_info.min)]).hbar_omega0 > 0
 
 
-def test_grid_expansion_is_bounded_and_keeps_accepted_grids():
+def test_grid_expansion_is_bounded_and_keeps_accepted_grids(capsys):
     # Points that stall under rounding used to expand until memory ran out;
     # a grid whose points rise keeps every point it reaches, and the cap is
     # on those points: 100000 pass, 100001 do not, by the estimate or after
-    # the expansion.
+    # the expansion.  The estimate counts whole steps: (hi - lo) / step + 1
+    # refused 0.9:90.8994:0.0009 and 0.1:1.099995:0.00001.
     assert len(_expand_grid((0.02, 0.02, 1e-20))) == 2 * MAX_GRID_POINTS
     argv = ["fit", "--dataset", "martin", "--n-max", "1", "--grid"]
-    for spec in ("0.1:0.1000099999:1e-10", "0.1:0.100099999:1e-9"):
+    for spec in ("0.1:0.1000099999:1e-10", "0.1:0.100099999:1e-9", "0.9:90.8994:0.0009",
+                 "0.1:1.099995:0.00001"):
         assert len(_expand_grid(parse_args(argv + [spec]).tau_grid)) == MAX_GRID_POINTS
     lo, hi, step = map(float, OVERSHOOT.split(":"))
-    assert (hi - lo) / step + 1 <= MAX_GRID_POINTS < len(_expand_grid((lo, hi, step)))
-    for spec in ("0.1:0.10001:1e-10", OVERSHOOT):
+    assert (hi - lo) // step + 1 <= MAX_GRID_POINTS < len(_expand_grid((lo, hi, step)))
+    for spec in ("0.1:0.10001:1e-10", OVERSHOOT, "0.9:90.9003:0.0009", "0.1:1.1:0.00001"):
         with pytest.raises(SystemExit):
             parse_args(argv + [spec])
+        assert f"has more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
 
 
 class _Refusing:
@@ -196,7 +199,10 @@ class _Refusing:
        share=st.floats(min_value=0.0, max_value=1.0), step=st.floats(min_value=1e-12, max_value=1.0))
 def test_grid_stops_at_hi(lo, points, share, step):
     # Every accepted grid rises strictly from lo, rounded to 10 decimals, and
-    # stops at hi, less than half a step past it (1e-9 at most).
+    # stops at hi, less than half a step past it (1e-9 at most).  From a
+    # 1e-10 step on, its whole steps from lo, the estimate of the cap, never
+    # outnumber its points; a finer step may round points past hi (lo =
+    # 0.6608502184497672 with two 1e-12 steps keeps one point).
     hi = lo + (points - 1 + share) * step
     try:
         grid = cli._parse_grid_spec(_Refusing(), f"{lo!r}:{hi!r}:{step!r}")
@@ -205,6 +211,7 @@ def test_grid_stops_at_hi(lo, points, share, step):
     taus = _expand_grid(grid)
     assert taus[0] == round(lo, 10) and taus[-1] <= hi + min(1e-9, step / 2)
     assert all(a < b for a, b in zip(taus, taus[1:]))
+    assert step < 1e-10 or (hi - lo) // step + 1 <= len(taus)
 
 
 def test_fit_grid_ends_at_hi_below_a_nanosecond_step():
@@ -355,6 +362,25 @@ def test_compare_json_fields():
     assert (doc["tp"], doc["fp"], doc["fn"]) == (17, 8, 2)
     assert doc["f1"] == pytest.approx(17 / 22, rel=1e-12)
     assert [1206, 1220] in doc["pairs"]
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.038, 0.1, 0.5])
+@pytest.mark.parametrize("slack", [0, 3, 40])
+def test_compare_formats_list_the_same_rows(tau, slack):
+    # Text prints each csv row's non-empty fields, and json holds the same
+    # pairs and unmatched values in the same order, for every dataset.
+    for name in bundled_dataset_names():
+        config = RunConfig("compare", tau=tau, dataset_path=name, slack=slack)
+        text, table, doc = (capture(config._replace(format=fmt))[1] for fmt in cli._FORMATS)
+        doc, rows = json.loads(doc), list(csv.reader(io.StringIO(table)))
+        listed = [("pair", p, o) for p, o in doc["pairs"]]
+        listed += [("unmatched-predicted", p, "") for p in doc["unmatched_predicted"]]
+        listed += [("unmatched-observed", "", o) for o in doc["unmatched_observed"]]
+        assert rows == [["kind", "predicted", "observed"]] + [list(map(str, row)) for row in listed]
+        lines = text.splitlines()
+        assert lines[1:-2] == [" ".join(filter(None, row)) for row in rows[1:]]
+        assert lines[-2:] == [f"tp {doc['tp']} fp {doc['fp']} fn {doc['fn']}",
+                              f"f1 {doc['f1']:.6f}"]
 
 
 def test_fit_text_output():
