@@ -43,9 +43,7 @@ MAX_COUNT_LIMIT = 1_000_000
 # Largest total work of a fit: tau grid points times the levels of the
 # _shape(n_max) table (169 at the default n_max of 24).  A fit point costs
 # about 0.3 microseconds per level, so this bounds a fit to a few seconds.
-# The fit's event sweep runs the kernel where a carry breaks, at ties, and
-# past a kernel point whose state is new.  Levels that cross or tie at
-# every point put it at each, so the cap is on points.
+# Levels that cross or tie at every point send each to the kernel: the cap is on points.
 MAX_FIT_LEVELS = 10_000_000
 
 
@@ -61,33 +59,25 @@ class RunConfig(namedtuple(
     __slots__ = ()
 
 
-# The options of each group, in the order help lists them.
+# The options of each group, in the order help lists them.  Each subparser
+# leaves an omitted option out, so RunConfig states its default.
 _OPTIONS = {
     "tau": [
-        (("--tau",), dict(type=float, default=0.038,
-                          help="deformation parameter, >= 0 (default 0.038)")),
+        (("--tau",), dict(type=float, help="deformation parameter, >= 0 (default 0.038)")),
     ],
     "scale": [
-        (("--hbar-omega0",), dict(dest="hbar_omega0", type=float, default=1.0,
-                                  help="energy scale (default 1.0)")),
-        (("--n-max",), dict(dest="n_max", type=int, default=24,
-                            help="shell enumeration bound (default 24)")),
+        (("--hbar-omega0",), dict(type=float, help="energy scale (default 1.0)")),
+        (("--n-max",), dict(type=int, help="shell enumeration bound (default 24)")),
     ],
     "shell": [
-        (("--primary-gap", "--gap"), dict(dest="primary_gap", type=float,
-                                          default=DEFAULT_PRIMARY_GAP,
-                                          help="primary shell-gap threshold (default 0.39)")),
-        (("--secondary-gap",), dict(dest="secondary_gap", type=float,
-                                    default=DEFAULT_SECONDARY_GAP,
-                                    help="secondary shell-gap threshold (default 0.30)")),
-        (("--count-limit",), dict(dest="count_limit", type=int, default=DEFAULT_COUNT_LIMIT,
-                                  help="occupancy truncation of the scheme (default 1520)")),
+        (("--primary-gap", "--gap"), dict(type=float, help="primary shell-gap threshold (default 0.39)")),
+        (("--secondary-gap",), dict(type=float, help="secondary shell-gap threshold (default 0.30)")),
+        (("--count-limit",), dict(type=int, help="occupancy truncation of the scheme (default 1520)")),
     ],
     "dataset": [
         (("--dataset",), dict(dest="dataset_path", required=True,
                               help="bundled dataset name or path to a dataset file")),
-        (("--slack",), dict(type=int, default=0,
-                            help="extra matching window on top of uncertainties (default 0)")),
+        (("--slack",), dict(type=int, help="extra matching window on top of uncertainties (default 0)")),
     ],
     "grid": [
         (("--grid",), dict(dest="grid_spec", default="0.02:0.06:0.002",
@@ -111,7 +101,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (_, help_text, groups, formats) in _COMMANDS.items():
         if command not in (None, name):
             continue
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for group in groups:
             for flags, options in _OPTIONS[group]:
                 sub.add_argument(*flags, **options)
@@ -121,12 +111,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _parse_grid_spec(parser: argparse.ArgumentParser, spec: str) -> tuple[float, float, float]:
-    parts = spec.split(":")
     try:
-        lo, hi, step = (float(part) for part in parts)
+        lo, hi, step = map(float, spec.split(":"))  # a count other than 3 raises too
     except ValueError:
         lo = hi = step = math.nan
-    if len(parts) != 3 or not all(map(math.isfinite, (lo, hi, step))):
+    if not all(map(math.isfinite, (lo, hi, step))):
         parser.error(f"--grid must be lo:hi:step, got {spec!r}")
     if lo <= 0 or step <= 0 or hi < lo:
         parser.error(f"--grid requires 0 < lo <= hi and step > 0, got {spec!r}")
@@ -146,35 +135,42 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Turn argv into a validated RunConfig; exits with status 2 on usage errors."""
     # Only the main parser's help and its command errors list every command.
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    ns = parser.parse_args(argv)
-
-    if hasattr(ns, "tau") and not (math.isfinite(ns.tau) and ns.tau >= 0):
-        parser.error(f"--tau must be finite and >= 0, got {ns.tau!r}")
+    # argparse takes a value that starts with "-" for an option unless it is a
+    # plain number; a grid spec holds a ":", which no option does.
+    args = []
+    for arg in argv:
+        if argv[0] == "fit" and args[-1:] == ["--grid"] and arg[:1] == "-" and ":" in arg:
+            arg = args.pop() + "=" + arg
+        args.append(arg)
+    options = vars(parser.parse_args(args))
+    grid_spec = options.pop("grid_spec", None)
+    config = RunConfig(**options)
+    if not (math.isfinite(config.tau) and config.tau >= 0):
+        parser.error(f"--tau must be finite and >= 0, got {config.tau!r}")
     # A subnormal scale rounds distinct energies to ties and reorders levels.
-    if not sys.float_info.min <= ns.hbar_omega0 <= sys.float_info.max:
-        parser.error(f"--hbar-omega0 must be a normal positive float, got {ns.hbar_omega0!r}")
-    if not 1 <= ns.n_max <= MAX_N_MAX:
-        parser.error(f"--n-max must be in [1, {MAX_N_MAX}], got {ns.n_max}")
-    if not 2 <= ns.count_limit <= MAX_COUNT_LIMIT:
-        parser.error(f"--count-limit must be in [2, {MAX_COUNT_LIMIT}], got {ns.count_limit}")
-    if not (math.isfinite(ns.primary_gap) and math.isfinite(ns.secondary_gap)):
+    if not sys.float_info.min <= config.hbar_omega0 <= sys.float_info.max:
+        parser.error(f"--hbar-omega0 must be a normal positive float, got {config.hbar_omega0!r}")
+    if not 1 <= config.n_max <= MAX_N_MAX:
+        parser.error(f"--n-max must be in [1, {MAX_N_MAX}], got {config.n_max}")
+    if not 2 <= config.count_limit <= MAX_COUNT_LIMIT:
+        parser.error(f"--count-limit must be in [2, {MAX_COUNT_LIMIT}], got {config.count_limit}")
+    if not (math.isfinite(config.primary_gap) and math.isfinite(config.secondary_gap)):
         parser.error("--primary-gap and --secondary-gap must be finite")
-    if ns.primary_gap < 0 or ns.secondary_gap < 0:
+    if config.primary_gap < 0 or config.secondary_gap < 0:
         parser.error("--primary-gap and --secondary-gap must be >= 0")
     # levels and fit never grade secondary closures.
-    if ns.command not in ("levels", "fit") and not ns.secondary_gap < ns.primary_gap:
+    if config.command not in ("levels", "fit") and not config.secondary_gap < config.primary_gap:
         parser.error("--secondary-gap must be below --primary-gap")
-    if hasattr(ns, "slack") and ns.slack < 0:
-        parser.error(f"--slack must be >= 0, got {ns.slack}")
-    if hasattr(ns, "grid_spec"):
-        ns.tau_grid = _parse_grid_spec(parser, ns.grid_spec)
-        work = len(_expand_grid(ns.tau_grid)) * len(_shape(ns.n_max)[0])
+    if config.slack < 0:
+        parser.error(f"--slack must be >= 0, got {config.slack}")
+    if grid_spec is not None:
+        config = config._replace(tau_grid=_parse_grid_spec(parser, grid_spec))
+        work = len(_expand_grid(config.tau_grid)) * len(_shape(config.n_max)[0])
         if work > MAX_FIT_LEVELS:
             parser.error(f"fit would build {work} levels (grid points x levels per "
                          f"scheme), more than {MAX_FIT_LEVELS}; use a coarser --grid "
                          f"or a smaller --n-max")
-
-    return RunConfig(**{k: v for k, v in vars(ns).items() if k in RunConfig._fields})
+    return config
 
 
 @lru_cache(maxsize=1)  # parse_args checks the grid that fit then scans
@@ -325,15 +321,14 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig, out=None) -> int:
-    """Execute one command; data to out (stdout), diagnostics to stderr."""
-    sink = sys.stdout if out is None else out
+def run(config: RunConfig) -> int:
+    """Execute one command; data to stdout, diagnostics to stderr."""
     try:
         text = _COMMANDS[config.command][0](config)
     except (InsufficientNMaxError, ValueError, OSError) as exc:
         print(f"qshell: error: {exc}", file=sys.stderr)
         return 1
-    sink.write(text)
+    sys.stdout.write(text)
     return 0
 
 

@@ -440,7 +440,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
 
     i = last = 0  # last: the kernel's point before i
     while i < stop and (point := _fit_point(params(i), count_limit, primary_gap)):
-        states[i] = tuple(point.primaries), point.cut
-        go = i and not point.tied and (last < i - 1 or states[i - 1] == states[i])
+        states[i], tied = point
+        go = i and not tied and (last < i - 1 or states[i - 1] == states[i])
         last, i = i, carry(i) if go else i + 1
     return [held := new or held for new in states[:i]]  # a carried point holds the one before

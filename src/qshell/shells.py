@@ -17,8 +17,9 @@ its running sum gives the totals, so build_scheme and detect_shells skip
 the checks that LevelScheme and MagicRecord run on a caller's records.
 A fit evaluates its taus through _fit_point instead, which cuts the same
 energy column of shells 0..n_max, with the same floor, and returns the
-primary magic numbers, with the sorted prefix whose order the fit carries
-to nearby taus.  _required_n_max cuts the prefixes of one longer column.
+state its sweep stores: the primary magic numbers and the sorted prefix
+whose order the sweep carries to nearby taus.  _required_n_max cuts the
+prefixes of one longer column.
 """
 
 import math
@@ -90,8 +91,6 @@ class LevelScheme(_Record, namedtuple("LevelScheme", "levels cumulative params")
                 raise ValueError(f"cumulative total {cum} != running sum {total}")
         return tuple.__new__(cls, (levels, cumulative, params))
 
-
-FitPoint = namedtuple("FitPoint", "primaries cut tied")
 
 # Shells added per step when searching for the n_max to suggest.
 _N_MAX_STEP = 8
@@ -186,24 +185,22 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
     The list is read off the energy column of shells 0..n_max and its floor,
-    cut by _cut exactly as build_scheme cuts them.  Returns None where
-    build_scheme would raise, else a FitPoint: cut is (k, prefix), the kept
-    count and the table indices of the kept levels and the one above them in
-    energy order; tied, whether two of them tie.  Checks no argument.
+    cut by _cut exactly as build_scheme cuts them: a refused column raises
+    build_scheme's ValueError.  Returns None where the cut is incomplete, else
+    ((primaries, (k, prefix)), tied): the sweep's state, with k the kept count
+    and prefix the table indices of the kept levels and the one above them in
+    energy order, and whether two of those tie.  Checks no argument.
     """
-    try:
-        energies, floor = _energies_up_to(p, p.n_max)
-    except ValueError:
-        return None
+    energies, floor = _energies_up_to(p, p.n_max)
     order, totals, complete = _cut(energies, floor, p.n_max, count_limit)
     if not complete:
         return None
     k = len(totals)
-    prefix = order[:k + 1]
+    prefix = tuple(order[:k + 1])
     ordered = list(map(energies.__getitem__, prefix))
-    primaries = [count for low, high, count in zip(ordered, ordered[1:k], totals)
-                 if high - low > primary_gap]
-    return FitPoint(primaries, (k, tuple(prefix)), len(set(ordered)) < len(ordered))
+    primaries = tuple(count for low, high, count in zip(ordered, ordered[1:k], totals)
+                      if high - low > primary_gap)
+    return (primaries, (k, prefix)), len(set(ordered)) < len(ordered)
 
 
 def detect_shells(

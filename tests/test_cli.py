@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import gc
 import gzip
@@ -41,7 +43,8 @@ OVERSHOOT = "10000.000000000107:10000.000010004449:1.000444171950221e-10"
 
 def capture(config):
     buf = io.StringIO()
-    status = run(config, buf)
+    with contextlib.redirect_stdout(buf):
+        status = run(config)
     return status, buf.getvalue()
 
 
@@ -49,11 +52,31 @@ def capture(config):
 
 
 def test_defaults():
+    # RunConfig states each default: an omitted option takes it, and the
+    # "(default X)" of each option's help, the one other place that states
+    # it, agrees.  Only --grid's default and --format's per command are the
+    # parser's.
     config = parse_args(["magics"])
     assert config == RunConfig(command="magics")
     assert (config.tau, config.hbar_omega0, config.n_max) == (0.038, 1.0, 24)
     assert (config.primary_gap, config.secondary_gap) == (0.39, 0.30)
     assert (config.count_limit, config.slack, config.format) == (1520, 0, "text")
+    for command, (_, _, groups, formats) in cli._COMMANDS.items():
+        dataset = ["--dataset", "martin"] if "dataset" in groups else []
+        assert parse_args([command, *dataset]) == RunConfig(
+            command, dataset_path="martin" if dataset else None, format=(*formats, "text")[0],
+            tau_grid=(0.02, 0.06, 0.002) if "grid" in groups else None)
+        subparser = cli._build_parser(command)._subparsers._group_actions[0].choices[command]
+        for action in subparser._actions[1:]:  # past -h
+            stated = re.search(r"\(default (\S+)\)$", action.help or "")
+            if action.dest == "grid_spec":
+                assert stated[1] == action.default == "0.02:0.06:0.002"
+            elif action.dest == "format" or action.required:
+                assert stated is None
+            else:
+                field_default = RunConfig._field_defaults[action.dest]
+                assert action.default is argparse.SUPPRESS
+                assert type(field_default)(stated[1]) == field_default, (command, action.dest)
 
 
 def test_flag_parsing():
@@ -145,6 +168,28 @@ def test_one_subparser_parses_like_the_full_parser(argv, capsys, monkeypatch):
     full_parser = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
     assert outcome == _parse_outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("spec", ["-0.1:0.2:0.1", "-1:2:3", "-.5:1:1", "-1e-3:0.06:0.002",
+                                  "-0.06:-0.02:0.002", "-inf:1:1", "-x:y:z"])
+def test_grid_spec_that_starts_with_a_minus_is_a_grid_error(spec, capsys):
+    # argparse takes a value that starts with "-" for an option unless it is
+    # a plain number, and --grid then "expected one argument"; a spec holds a
+    # ":", so `--grid SPEC` parses as `--grid=SPEC`, wherever --grid stands.
+    joined = _parse_outcome(["fit", "--dataset", "martin", f"--grid={spec}"], capsys)
+    assert joined[:2] == (None, 2) and joined[3].endswith(f", got {spec!r}\n")
+    assert joined[3].startswith("usage: qshell [-h] command ...\nqshell: error: --grid ")
+    assert _parse_outcome(["fit", "--dataset", "martin", "--grid", spec], capsys) == joined
+    assert _parse_outcome(["fit", "--grid", spec, "--dataset", "martin"], capsys) == joined
+    _, code, _, err = _parse_outcome(["magics", "--grid", spec], capsys)  # no --grid to join
+    assert code == 2 and err.endswith(f"error: unrecognized arguments: --grid {spec}\n")
+
+
+@pytest.mark.parametrize("value", ["--dataset", "-h", "-x"])
+def test_grid_before_an_option_still_lacks_its_value(value, capsys):
+    config, code, _, err = _parse_outcome(["fit", "--grid", value, "martin"], capsys)
+    assert (config, code) == (None, 2)
+    assert err.endswith("qshell fit: error: argument --grid: expected one argument\n")
 
 
 def test_a_command_line_builds_its_command_alone():

@@ -481,7 +481,7 @@ def _direct_trace(ds, grid, primary_gap, count_limit, slack=0, hbar_omega0=1.0, 
     trace = []
     for tau in grid:
         params = ModelParameters(DeformationParameter(tau), hbar_omega0, n_max)
-        predicted = _fit_point(params, count_limit, primary_gap).primaries
+        (predicted, _), _ = _fit_point(params, count_limit, primary_gap)
         trace.append((tau, match_magics(predicted, ds, slack=slack).f1))
     return tuple(trace)
 
@@ -567,7 +567,7 @@ def _kernel_states(grid, primary_gap, count_limit, hbar_omega0=1.0, n_max=24):
                            count_limit, primary_gap)
         if point is None:
             break
-        states.append((tuple(point.primaries), point.cut))
+        states.append(point[0])
     return states
 
 
@@ -643,7 +643,7 @@ def test_sweep_carries_from_a_kernel_point_after_a_carry_or_its_own_state(grid, 
     for event, after in zip(events, events[1:]):
         if event:
             i, point = event
-            go = i and not point.tied and (i - 1 not in kernel_points or states[i - 1] == states[i])
+            go = i and not point[1] and (i - 1 not in kernel_points or states[i - 1] == states[i])
             assert after is None if go else after[0] == i + 1
     monkeypatch.undo()
     assert states == _kernel_states(taus, 0.39, 1520)
@@ -888,7 +888,8 @@ def _quantities(point, primary_gap, n_max):
     # highest-l outside level of each shell minus the prefix top, up to the
     # first shell whose (n, n) is outside.
     levels = list(zip(*_shape(n_max)[:2]))
-    (k, prefix), quantities = point.cut, {}
+    (_, (k, prefix)), _ = point
+    quantities = {}
     names = [levels[x] for x in prefix]
     for t, pair in enumerate(zip(names, names[1:])):
         quantities[pair] = (0.0, primary_gap) if t < k - 1 else (0.0,)

@@ -20,7 +20,8 @@ from qshell.shells import (
     _cut,
     _fit_point,
 )
-from qshell.spectrum import Level, ModelParameters, _shape, energy, enumerate_levels
+from qshell.spectrum import (Level, ModelParameters, _energies_up_to, _shape, energy,
+                             enumerate_levels)
 
 PRIMARY_MAGICS = [
     2, 8, 20, 34, 40, 58, 92, 138, 198, 254, 268, 338, 440, 556, 676,
@@ -248,7 +249,7 @@ def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit
 def _primaries(p, count_limit, gap):
     # The fit kernel's primary list, or None where it cannot finish.
     point = _fit_point(p, count_limit, gap)
-    return point and point.primaries
+    return point and list(point[0][0])
 
 
 @settings(deadline=None)
@@ -259,14 +260,26 @@ def _primaries(p, count_limit, gap):
        count_limit=st.integers(min_value=2, max_value=3000),
        gap=st.floats(min_value=0.0, max_value=2.0))
 @example(tau=300.0, hw=1.0, n_max=1, count_limit=2, gap=0.39)  # the floor overflows
+# Shells 0..1 hold 8 particles; the n_max search's longer column overflows.
+@example(tau=0.0, hw=5.992310449541053e307, n_max=1, count_limit=21, gap=0.39)
 def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap):
-    # The fit's kernel gives predicted_primary_magics' list, and None
-    # exactly where build_scheme raises.
-    # At tau = 200 the energy formula cancels, and both refuse the energies.
+    # The fit's kernel gives predicted_primary_magics' list.  Where the
+    # column of shells 0..n_max is refused (at tau = 200 the energy formula
+    # cancels), it raises build_scheme's ValueError; where build_scheme
+    # raises otherwise, it gives None.
     p = params(tau=tau, hw=hw, n_max=n_max)
     try:
+        _energies_up_to(p, n_max)
+    except ValueError as refusal:
+        message = f"^{re.escape(str(refusal))}$"
+        with pytest.raises(ValueError, match=message):
+            build_scheme(p, count_limit)
+        with pytest.raises(ValueError, match=message):
+            _fit_point(p, count_limit, gap)
+        return
+    try:
         build_scheme(p, count_limit)
-    except (InsufficientNMaxError, ValueError):
+    except (InsufficientNMaxError, ValueError):  # a ValueError from the n_max search
         assert _primaries(p, count_limit, gap) is None
         return
     assert _primaries(p, count_limit, gap) == \
@@ -293,9 +306,9 @@ def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max,
     prefix = sorted(levels, key=_energy_n_l)[:k + 1]
     assert prefix[:k] == list(scheme.levels)
     index = {(n, l): i for i, (n, l) in enumerate(zip(*_shape(n_max)[:2]))}
-    point = _fit_point(p, count_limit, gap)
-    assert point[:2] == (
-        predicted_primary_magics(tau, gap, count_limit, 1.0, n_max),
+    state, _ = _fit_point(p, count_limit, gap)
+    assert state == (
+        tuple(predicted_primary_magics(tau, gap, count_limit, 1.0, n_max)),
         (k, tuple(index[lev.n, lev.l] for lev in prefix)),
     )
     assert energy(n_max + 1, n_max + 1, p) > prefix[k - 1].energy
@@ -308,12 +321,14 @@ def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max,
 ])
 def test_cancelling_energies_are_an_error(tau, n_max, count_limit, message):
     # Never a scheme built on cancelled energies, and never an IndexError
-    # from an empty kept range, in build_scheme, its n_max search or the kernel.
+    # from an empty kept range, in build_scheme, its n_max search or the
+    # kernel, which raises build_scheme's error.
     p = params(tau=tau, n_max=n_max)
     for limit in (count_limit, 1520):
         with pytest.raises(ValueError, match=re.escape(message)):
             build_scheme(p, limit)
-        assert _fit_point(p, limit, 0.39) is None
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _fit_point(p, limit, 0.39)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.038])
@@ -324,7 +339,7 @@ def test_a_floor_past_the_float_range_completes_the_scheme(tau):
     with pytest.raises(ValueError, match=r"shells 0\.\.2 overflow a float"):
         energy(2, 2, p)
     assert build_scheme(p, 2).levels == (Level(0, 0, 0.0, 2),)
-    assert _fit_point(p, 2, 0.39)[:2] == ([], (1, (0, 1)))
+    assert _fit_point(p, 2, 0.39)[0] == ((), (1, (0, 1)))
 
 
 def test_underfilled_scheme_raises():
