@@ -27,7 +27,7 @@ from .shells import (
     detect_shells,
     render_table,
 )
-from .spectrum import ModelParameters, _shape
+from .spectrum import DEFAULT_HBAR_OMEGA0, DEFAULT_N_MAX, ModelParameters, _shape
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -51,8 +51,8 @@ class RunConfig(namedtuple(
     "RunConfig",
     "command tau hbar_omega0 n_max primary_gap secondary_gap count_limit "
     "dataset_path slack format tau_grid",
-    defaults=(0.038, 1.0, 24, DEFAULT_PRIMARY_GAP, DEFAULT_SECONDARY_GAP,
-              DEFAULT_COUNT_LIMIT, None, 0, "text", None),
+    defaults=(0.038, DEFAULT_HBAR_OMEGA0, DEFAULT_N_MAX, DEFAULT_PRIMARY_GAP,
+              DEFAULT_SECONDARY_GAP, DEFAULT_COUNT_LIMIT, None, 0, "text", None),
 )):
     """One validated command line; tau_grid is (lo, hi, step) for fit."""
 
@@ -136,10 +136,11 @@ def parse_args(argv: list[str]) -> RunConfig:
     # Only the main parser's help and its command errors list every command.
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     # argparse takes a value that starts with "-" for an option unless it is a
-    # plain number; a grid spec holds a ":", which no option does.
+    # plain number; a spec holds a ":", which no option does (--g also abbreviates --gap).
     args = []
     for arg in argv:
-        if argv[0] == "fit" and args[-1:] == ["--grid"] and arg[:1] == "-" and ":" in arg:
+        if (argv[0] == "fit" and args[-1:] in (["--gr"], ["--gri"], ["--grid"])
+                and arg[:1] == "-" and ":" in arg):
             arg = args.pop() + "=" + arg
         args.append(arg)
     options = vars(parser.parse_args(args))

@@ -24,7 +24,8 @@ from operator import itemgetter
 
 from .qmath import DeformationParameter, _Record
 from .shells import _fit_point, build_scheme
-from .spectrum import ModelParameters, _drift_bounds, _energies_up_to, _level_energy, _shape
+from .spectrum import (DEFAULT_HBAR_OMEGA0, DEFAULT_N_MAX, ModelParameters, _drift_bounds,
+                       _energies_up_to, _level_energy, _shape)
 
 __all__ = [
     "ObservedMagic",
@@ -220,8 +221,8 @@ def predicted_primary_magics(
     tau: float,
     primary_gap: float,
     count_limit: int,
-    hbar_omega0: float = 1.0,
-    n_max: int = 24,
+    hbar_omega0: float = DEFAULT_HBAR_OMEGA0,
+    n_max: int = DEFAULT_N_MAX,
 ) -> list[int]:
     """Primary magic numbers of the model at deformation tau.
 
@@ -246,8 +247,8 @@ def fit_tau(
     primary_gap: float,
     count_limit: int,
     slack: int = 0,
-    hbar_omega0: float = 1.0,
-    n_max: int = 24,
+    hbar_omega0: float = DEFAULT_HBAR_OMEGA0,
+    n_max: int = DEFAULT_N_MAX,
 ) -> FitResult:
     """Exhaustive grid search for the tau whose primary magics best match ds.
 

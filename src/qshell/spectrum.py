@@ -50,6 +50,9 @@ __all__ = [
     "enumerate_levels",
 ]
 
+DEFAULT_HBAR_OMEGA0 = 1.0
+DEFAULT_N_MAX = 24
+
 
 class InvalidLevelError(ValueError):
     """(n, l) outside the branching rule l = n, n-2, ..., 1 or 0."""
@@ -79,8 +82,8 @@ class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_o
 
     __slots__ = ()
 
-    def __new__(cls, deformation: DeformationParameter, hbar_omega0: float = 1.0,
-                n_max: int = 24):
+    def __new__(cls, deformation: DeformationParameter,
+                hbar_omega0: float = DEFAULT_HBAR_OMEGA0, n_max: int = DEFAULT_N_MAX):
         # A subnormal scale rounds distinct energies to ties, and the sort
         # would fall back to (n, l) order.
         if not sys.float_info.min <= hbar_omega0 <= sys.float_info.max:

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import gc
 import gzip
+import inspect
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshell import bundled_dataset_names, cli
+from qshell import bundled_dataset_names, cli, fit_tau, predicted_primary_magics
 from qshell.cli import (
     MAX_COUNT_LIMIT,
     MAX_FIT_LEVELS,
@@ -77,6 +78,11 @@ def test_defaults():
                 field_default = RunConfig._field_defaults[action.dest]
                 assert action.default is argparse.SUPPRESS
                 assert type(field_default)(stated[1]) == field_default, (command, action.dest)
+    # The library's model defaults are the CLI's.
+    for function in (ModelParameters, predicted_primary_magics, fit_tau):
+        parameters = inspect.signature(function).parameters
+        for name in ("n_max", "hbar_omega0"):
+            assert parameters[name].default == RunConfig._field_defaults[name], (function, name)
 
 
 def test_flag_parsing():
@@ -175,14 +181,18 @@ def test_one_subparser_parses_like_the_full_parser(argv, capsys, monkeypatch):
 def test_grid_spec_that_starts_with_a_minus_is_a_grid_error(spec, capsys):
     # argparse takes a value that starts with "-" for an option unless it is
     # a plain number, and --grid then "expected one argument"; a spec holds a
-    # ":", so `--grid SPEC` parses as `--grid=SPEC`, wherever --grid stands.
+    # ":", so `--grid SPEC` parses as `--grid=SPEC`, wherever --grid stands,
+    # and so do fit's abbreviations --gri and --gr.
     joined = _parse_outcome(["fit", "--dataset", "martin", f"--grid={spec}"], capsys)
     assert joined[:2] == (None, 2) and joined[3].endswith(f", got {spec!r}\n")
     assert joined[3].startswith("usage: qshell [-h] command ...\nqshell: error: --grid ")
-    assert _parse_outcome(["fit", "--dataset", "martin", "--grid", spec], capsys) == joined
-    assert _parse_outcome(["fit", "--grid", spec, "--dataset", "martin"], capsys) == joined
-    _, code, _, err = _parse_outcome(["magics", "--grid", spec], capsys)  # no --grid to join
-    assert code == 2 and err.endswith(f"error: unrecognized arguments: --grid {spec}\n")
+    for flag in ("--grid", "--gri", "--gr"):
+        assert _parse_outcome(["fit", "--dataset", "martin", flag, spec], capsys) == joined
+        assert _parse_outcome(["fit", flag, spec, "--dataset", "martin"], capsys) == joined
+        _, code, _, err = _parse_outcome(["magics", flag, spec], capsys)  # no --grid to join
+        assert code == 2 and err.endswith(f"error: unrecognized arguments: {flag} {spec}\n")
+    _, code, _, err = _parse_outcome(["fit", "--dataset", "martin", "--g", spec], capsys)
+    assert code == 2 and err.endswith("error: ambiguous option: --g could match --gap, --grid\n")
 
 
 @pytest.mark.parametrize("value", ["--dataset", "-h", "-x"])

@@ -1,5 +1,6 @@
 """The record contract: immutable, validated named tuples with stable fields."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -164,3 +165,21 @@ def test_cli_import_loads_no_pathlib():
     assert _loaded_by_cli_import(("pathlib",)) == "[]"
     assert _loaded_by_cli_import(("pathlib", "importlib.resources"),
                                  then="qshell.empirics.load_named_dataset('martin')") == "[]"
+
+
+def test_package_names_are_its_modules_public_names():
+    # qshell re-exports the __all__ of its four modules, the same objects
+    # under the same names, and importing it leaves the command line out.
+    src = str(Path(qshell.__file__).resolve().parent.parent)
+    code = f"""import sys; sys.path.insert(0, {src!r}); import qshell
+modules = (qshell.qmath, qshell.spectrum, qshell.shells, qshell.empirics)
+print(sorted(n for n in dir(qshell) if not n.startswith("_")))
+print(sorted(n for m in modules for n in m.__all__))
+print([n for m in modules for n in m.__all__ if getattr(qshell, n) is not getattr(m, n)])
+print("qshell.cli" in sys.modules)"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True, timeout=60)
+    public, exported, copies, cli_loaded = map(ast.literal_eval, proc.stdout.splitlines())
+    assert len(exported) == len(set(exported)) == 29
+    assert public == sorted(exported + ["empirics", "qmath", "shells", "spectrum"])
+    assert copies == [] and cli_loaded is False
