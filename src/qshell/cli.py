@@ -81,7 +81,7 @@ _OPTIONS = {
     ],
     "grid": [
         (("--grid",), dict(dest="grid_spec", default="0.02:0.06:0.002",
-                           help="tau grid as lo:hi:step (default 0.02:0.06:0.002)")),
+                           help="tau grid as lo:hi:step (default %(default)s)")),
     ],
 }
 

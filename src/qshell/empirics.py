@@ -7,12 +7,15 @@ under the window |predicted - observed| <= uncertainty + slack, and the
 deformation parameter is fitted by exhaustive grid search on the
 resulting f1 score.  The fit checks its arguments on the first grid point
 through predicted_primary_magics, and reads the other points off an
-event sweep that carries the state of the record-free kernel of shells
-along the grid on certified signs of level differences.  It matches each
-run of one magic list once.
+event sweep.  Its record-free kernel, _fit_point, cuts the energy column
+with shells' _cut, as build_scheme does, and the sweep carries the
+kernel's state along the grid on signs of level differences that
+_certified certifies from _drift_bounds' bounds on their curvature and
+rounding.  It matches each run of one magic list once.
 """
 
 import math
+import operator
 import os
 import re
 from bisect import bisect_left
@@ -23,9 +26,9 @@ from itertools import accumulate, chain, compress, groupby, repeat
 from operator import itemgetter
 
 from .qmath import DeformationParameter, _Record
-from .shells import _fit_point, build_scheme
-from .spectrum import (DEFAULT_HBAR_OMEGA0, DEFAULT_N_MAX, ModelParameters, _drift_bounds,
-                       _energies_up_to, _level_energy, _shape)
+from .shells import _cut, build_scheme
+from .spectrum import (DEFAULT_HBAR_OMEGA0, DEFAULT_N_MAX, ModelParameters, _energies_up_to,
+                       _level_energy, _shape, _term_error)
 
 __all__ = [
     "ObservedMagic",
@@ -277,6 +280,66 @@ def fit_tau(
         trace += zip(grid[start:start + len(list(run))], repeat(f1))
     tau_best, score_best = max(trace, key=itemgetter(1))  # the first, so the smallest tau
     return FitResult(tau_best, score_best, tuple(trace))
+
+
+def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
+    """predicted_primary_magics' list at p, and what carries it to nearby taus.
+
+    The list is read off the energy column of shells 0..n_max and its floor,
+    cut by _cut exactly as build_scheme cuts them: a refused column raises
+    build_scheme's ValueError.  Returns None where the cut is incomplete, else
+    ((primaries, (k, prefix)), tied): the sweep's state, with k the kept count
+    and prefix the table indices of the kept levels and the one above them in
+    energy order, and whether two of those tie.  Checks no argument.
+    """
+    energies, floor = _energies_up_to(p, p.n_max)
+    order, totals, complete = _cut(energies, floor, p.n_max, count_limit)
+    if not complete:
+        return None
+    k = len(totals)
+    prefix = tuple(order[:k + 1])
+    ordered = list(map(energies.__getitem__, prefix))
+    primaries = tuple(count for low, high, count in zip(ordered, ordered[1:k], totals)
+                      if high - low > primary_gap)
+    return (primaries, (k, prefix)), len(set(ordered)) < len(ordered)
+
+
+def _drift_bounds(n_max: int, hbar_omega0: float, tau_hi: float) -> tuple[list[float], ...]:
+    """(S2, C2, S_err, C_err) for the levels of shells 0..n_max + 1.
+
+    Over 0 <= tau <= tau_hi, |S2[n] - S2[n']| + |C2[l] - C2[l']| bounds the
+    second derivative of E(n, l) - E(n', l'), and S_err[n] + C_err[l] the
+    rounding of the energy _energies_up_to gives (n, l), the floor's too:
+    _term_error at tau_hi times hbar_omega0 (S_n + C_l), where E = hbar_omega0
+    (S_n - C_l), S_n = [n] q^(n+1) = sum_{m=1..n} e^(2 m tau), C_l = f P_l,
+    f = q tanh(tau) and P_l = [l][l+1] = sum_{i=1..l} 2 (l - i + 1) cosh((2i - 1) tau).
+    For tau >= 0, S'' = sum 4 m^2 e^(2 m tau), and the differences of P, P'
+    and P'' to a lower l's are positive sums of cosh and sinh terms, all
+    rising with tau; with t = tanh(tau), f' = e^tau (1 + t - t^2) <= 1.25 e^tau
+    and f'' = e^tau (2 - t - 2t^2 + 2t^3) is in [0, 2 e^tau], so C'' of l less
+    C'' of a lower l is at most 2 e^tau dP + 2.5 e^tau dP' + f dP''.  1 + 1e-9
+    covers the rounding of the sums, 2^-40 times two entries that of their
+    difference (_certified adds it).  Overflow gives inf.
+    """
+    top = n_max + 1
+    odd = [2 * i - 1 for i in range(1, top + 1)]
+    s2 = [4 * m * m for m in range(1, top + 1)]
+    try:
+        powers = list(accumulate(repeat(math.exp(2 * tau_hi), top), operator.mul))
+        cosh = [math.cosh(k * tau_hi) for k in odd]
+        sinh = [math.sinh(k * tau_hi) for k in odd]
+    except OverflowError:
+        return ([math.inf] * (top + 1),) * 4
+    y = math.exp(tau_hi)
+    f = y * math.tanh(tau_hi)
+    scale = hbar_omega0 * (1 + 1e-9)
+    error = scale * _term_error(tau_hi, n_max)
+    # Term i of 2 y P_l + 2.5 y P_l' + f P_l'', before the weight l - i + 1.
+    terms = [2 * c * (2 * y + f * k * k) + 5 * y * k * s for k, c, s in zip(odd, cosh, sinh)]
+    return ([scale * s for s in accumulate(map(operator.mul, s2, powers), initial=0.0)],
+            [scale * c for c in accumulate(accumulate(terms), initial=0.0)],
+            [error * s for s in accumulate(powers, initial=0.0)],
+            [error * f * p for p in accumulate(accumulate(2 * c for c in cosh), initial=0.0)])
 
 
 def _reach(h, q_a, q_s, bound, rounding) -> float:

@@ -15,11 +15,8 @@ _cut is the one place that sorts, cuts at the count limit and judges a
 scheme complete.  Its sort leaves the kept energies non-decreasing and
 its running sum gives the totals, so build_scheme and detect_shells skip
 the checks that LevelScheme and MagicRecord run on a caller's records.
-A fit evaluates its taus through _fit_point instead, which cuts the same
-energy column of shells 0..n_max, with the same floor, and returns the
-state its sweep stores: the primary magic numbers and the sorted prefix
-whose order the sweep carries to nearby taus.  _required_n_max cuts the
-prefixes of one longer column.
+The fit's kernel in empirics cuts its columns through _cut too, and
+_required_n_max cuts the prefixes of one longer column.
 """
 
 import math
@@ -179,28 +176,6 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
             f"{reason}; use n_max >= {_required_n_max(p, count_limit)}"
         )
     return tuple.__new__(LevelScheme, (kept, tuple(totals), p))
-
-
-def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
-    """predicted_primary_magics' list at p, and what carries it to nearby taus.
-
-    The list is read off the energy column of shells 0..n_max and its floor,
-    cut by _cut exactly as build_scheme cuts them: a refused column raises
-    build_scheme's ValueError.  Returns None where the cut is incomplete, else
-    ((primaries, (k, prefix)), tied): the sweep's state, with k the kept count
-    and prefix the table indices of the kept levels and the one above them in
-    energy order, and whether two of those tie.  Checks no argument.
-    """
-    energies, floor = _energies_up_to(p, p.n_max)
-    order, totals, complete = _cut(energies, floor, p.n_max, count_limit)
-    if not complete:
-        return None
-    k = len(totals)
-    prefix = tuple(order[:k + 1])
-    ordered = list(map(energies.__getitem__, prefix))
-    primaries = tuple(count for low, high, count in zip(ordered, ordered[1:k], totals)
-                      if high - low > primary_gap)
-    return (primaries, (k, prefix)), len(set(ordered)) < len(ordered)
 
 
 def detect_shells(

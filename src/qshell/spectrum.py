@@ -24,18 +24,15 @@ difference and one product, in _level_energy's order of operations: the
 column and energy() agree bit for bit (the CSV and JSON output print
 repr(energy)).  Both refuse a tau where the two terms overflow or cancel
 to more than a relative 1e-6 of rounding (above tau of about 8).
-_drift_bounds bounds, for the sweep, the curvature of level differences
-and the rounding of each level.
 The tau-independent (n, l, 2(2l+1)) columns of the table come from
 allowed_l, cached per n_max, so enumerate_levels() checks no Level.
 """
 
 import math
-import operator
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from .qmath import DeformationParameter, _Record, q_bracket
 
@@ -261,44 +258,6 @@ def _level_energy(tau: float, hbar_omega0: float):
     casimir_coeff = q * math.tanh(tau)
     return lambda n, l: hbar_omega0 * (sinh(tau * n) / sinh_tau * q ** (n + 1) - casimir_coeff * (
         sinh(tau * l) / sinh_tau * (sinh(tau * (l + 1)) / sinh_tau)))
-
-
-def _drift_bounds(n_max: int, hbar_omega0: float, tau_hi: float) -> tuple[list[float], ...]:
-    """(S2, C2, S_err, C_err) for the levels of shells 0..n_max + 1.
-
-    Over 0 <= tau <= tau_hi, |S2[n] - S2[n']| + |C2[l] - C2[l']| bounds the
-    second derivative of E(n, l) - E(n', l'), and S_err[n] + C_err[l] the
-    rounding of the energy _energies_up_to gives (n, l), the floor's too:
-    _term_error at tau_hi times hbar_omega0 (S_n + C_l), where E = hbar_omega0
-    (S_n - C_l), S_n = [n] q^(n+1) = sum_{m=1..n} e^(2 m tau), C_l = f P_l,
-    f = q tanh(tau) and P_l = [l][l+1] = sum_{i=1..l} 2 (l - i + 1) cosh((2i - 1) tau).
-    For tau >= 0, S'' = sum 4 m^2 e^(2 m tau), and the differences of P, P'
-    and P'' to a lower l's are positive sums of cosh and sinh terms, all
-    rising with tau; with t = tanh(tau), f' = e^tau (1 + t - t^2) <= 1.25 e^tau
-    and f'' = e^tau (2 - t - 2t^2 + 2t^3) is in [0, 2 e^tau], so C'' of l less
-    C'' of a lower l is at most 2 e^tau dP + 2.5 e^tau dP' + f dP''.  1 + 1e-9
-    covers the rounding of the sums, 2^-40 times two entries that of their
-    difference (the caller's to add).  Overflow gives inf.
-    """
-    top = n_max + 1
-    odd = [2 * i - 1 for i in range(1, top + 1)]
-    s2 = [4 * m * m for m in range(1, top + 1)]
-    try:
-        powers = list(accumulate(repeat(math.exp(2 * tau_hi), top), operator.mul))
-        cosh = [math.cosh(k * tau_hi) for k in odd]
-        sinh = [math.sinh(k * tau_hi) for k in odd]
-    except OverflowError:
-        return ([math.inf] * (top + 1),) * 4
-    y = math.exp(tau_hi)
-    f = y * math.tanh(tau_hi)
-    scale = hbar_omega0 * (1 + 1e-9)
-    error = scale * _term_error(tau_hi, n_max)
-    # Term i of 2 y P_l + 2.5 y P_l' + f P_l'', before the weight l - i + 1.
-    terms = [2 * c * (2 * y + f * k * k) + 5 * y * k * s for k, c, s in zip(odd, cosh, sinh)]
-    return ([scale * s for s in accumulate(map(operator.mul, s2, powers), initial=0.0)],
-            [scale * c for c in accumulate(accumulate(terms), initial=0.0)],
-            [error * s for s in accumulate(powers, initial=0.0)],
-            [error * f * p for p in accumulate(accumulate(2 * c for c in cosh), initial=0.0)])
 
 
 def enumerate_levels(p: ModelParameters) -> list[Level]:

@@ -22,12 +22,13 @@ from qshell.empirics import (
     load_named_dataset,
     match_magics,
     predicted_primary_magics,
+    _drift_bounds,
+    _fit_point,
 )
-from qshell import empirics, shells
+from qshell import empirics
 from qshell.qmath import DeformationParameter
-from qshell.shells import InsufficientNMaxError, _fit_point, build_scheme
-from qshell.spectrum import (ModelParameters, _drift_bounds, _energies_up_to, _level_energy,
-                             _shape, energy)
+from qshell.shells import InsufficientNMaxError, build_scheme
+from qshell.spectrum import ModelParameters, _energies_up_to, _level_energy, _shape, energy
 
 MARTIN = [
     (2, 0, False), (8, 0, False), (18, 0, True), (20, 0, False), (34, 0, False),
@@ -724,7 +725,7 @@ def test_sweep_keeps_outside_levels_past_their_station_margin(monkeypatch):
     grid = [a - 1e-6, a - 5e-7, *near]
     assert all(0 < v(tau) < delta < 1e-12 for tau in near) and v(grid[1]) > 1e-6
 
-    column, level_energy = shells._energies_up_to, empirics._level_energy
+    column, level_energy = empirics._energies_up_to, empirics._level_energy
     levels = list(zip(*_shape(24)[:2]))
 
     def perturbed_column(p, n_hi):
@@ -737,7 +738,7 @@ def test_sweep_keeps_outside_levels_past_their_station_margin(monkeypatch):
         energy = level_energy(tau, hbar_omega0)
         return lambda n, l: energy(*first) - delta if (n, l) == lower else energy(n, l)
 
-    monkeypatch.setattr(shells, "_energies_up_to", perturbed_column)
+    monkeypatch.setattr(empirics, "_energies_up_to", perturbed_column)
     monkeypatch.setattr(empirics, "_level_energy", perturbed_level_energy)
     states = _kernel_states(grid, 0.39, count_limit)
     assert [levels[cut[1][cut[0]]] for _, cut in states] == [top, top] + [lower] * len(near)

@@ -183,3 +183,14 @@ print("qshell.cli" in sys.modules)"""
     assert len(exported) == len(set(exported)) == 29
     assert public == sorted(exported + ["empirics", "qmath", "shells", "spectrum"])
     assert copies == [] and cli_loaded is False
+
+
+def test_version_is_stated_once():
+    # pyproject.toml reads the version from qshell.__version__; 3.10 has no
+    # tomllib, so its tables are split by their headers.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    tables = dict(re.findall(r"(?m)^\[([^\]]+)\]\n((?:(?!\[).*\n?)*)", text))
+    assert re.search(r"(?m)^dynamic = \[\"version\"\]$", tables["project"])
+    assert tables["tool.setuptools.dynamic"].strip() == 'version = {attr = "qshell.__version__"}'
+    assert not re.search(r"(?m)^version\s*=\s*['\"]", text)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", qshell.__version__)

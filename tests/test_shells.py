@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qshell import shells
-from qshell.empirics import predicted_primary_magics
+from qshell.empirics import _fit_point, predicted_primary_magics
 from qshell.qmath import DeformationParameter
 from qshell.shells import (
     _N_MAX_STEP,
@@ -18,7 +18,6 @@ from qshell.shells import (
     detect_shells,
     render_table,
     _cut,
-    _fit_point,
 )
 from qshell.spectrum import (Level, ModelParameters, _energies_up_to, _shape, energy,
                              enumerate_levels)
@@ -125,6 +124,9 @@ def _suggested_n_max(exc):
 @example(tau=0.0, count_limit=2281, n_max=16)
 # The search's trial column, shells 0..31, cancels at tau = 7.5; shells 0..24 do not.
 @example(tau=7.5, count_limit=5000, n_max=22)
+# The search passes its first step: candidates 61..68 are cut on the column
+# of shells 0..69 and fail, and the next column, to shell 77, holds 70.
+@example(tau=0.01, count_limit=80000, n_max=1)
 def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
     # Brute-force oracle: an accepted scheme is the one every larger bound
     # gives, and a suggested bound is the smallest one that is accepted.

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qshell.empirics import _drift_bounds
 from qshell.qmath import DeformationParameter, q_bracket
 from qshell.spectrum import (
     InvalidLevelError,
@@ -16,7 +17,6 @@ from qshell.spectrum import (
     energy_taylor,
     enumerate_levels,
     _TOLERANCE,
-    _drift_bounds,
     _energies_up_to,
     _level_energy,
     _shape,
