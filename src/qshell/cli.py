@@ -255,7 +255,7 @@ def _cmd_table(config: RunConfig) -> str:
 
 
 def _load_dataset_for(config: RunConfig):
-    return load_named_dataset(config.dataset_path, data_dir=os.environ.get("QSHELL_DATA_DIR"))
+    return load_named_dataset(config.dataset_path, data_dir=os.environ.get("QSHELL_DATA_DIR") or None)
 
 
 def _cmd_compare(config: RunConfig) -> str:

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import accumulate, compress, groupby, repeat
 from operator import itemgetter
 
 from .qmath import DeformationParameter, _Record
@@ -271,10 +271,10 @@ def fit_tau(
     # The reference path at the first point checks every argument but tau and slack.
     predicted_primary_magics(grid[0], primary_gap, count_limit, hbar_omega0, n_max)
     states = _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max)
-    tail = (tuple(predicted_primary_magics(tau, primary_gap, count_limit, hbar_omega0, n_max))
-            for tau in grid[len(states):])  # past the sweep's points, the reference path raises
+    if len(states) < len(grid):  # the sweep stops short only where the reference path raises
+        predicted_primary_magics(grid[len(states)], primary_gap, count_limit, hbar_omega0, n_max)
     trace = []
-    for predicted, run in groupby(chain(map(itemgetter(0), states), tail)):  # scored once a run
+    for predicted, run in groupby(map(itemgetter(0), states)):  # scored once a run
         f1 = match_magics(predicted, ds, slack=slack, include_paren=False).f1
         start = len(trace)
         trace += zip(grid[start:start + len(list(run))], repeat(f1))
@@ -292,8 +292,8 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     and prefix the table indices of the kept levels and the one above them in
     energy order, and whether two of those tie.  Checks no argument.
     """
-    energies, floor = _energies_up_to(p, p.n_max)
-    order, totals, complete = _cut(energies, floor, p.n_max, count_limit)
+    energies = _energies_up_to(p, p.n_max)
+    order, totals, complete = _cut(energies, p.n_max, count_limit)
     if not complete:
         return None
     k = len(totals)
@@ -420,7 +420,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
 
     def refused(i):
         try:
-            return not _energies_up_to(params(i), n_max)  # a pair, so never empty
+            return not _energies_up_to(params(i), n_max)  # it holds the floor, so never empty
         except ValueError:
             return True
 

@@ -16,7 +16,7 @@ scheme complete.  Its sort leaves the kept energies non-decreasing and
 its running sum gives the totals, so build_scheme and detect_shells skip
 the checks that LevelScheme and MagicRecord run on a caller's records.
 The fit's kernel in empirics cuts its columns through _cut too, and
-_required_n_max cuts the prefixes of one longer column.
+_required_n_max cuts its candidates on one longer column.
 """
 
 import math
@@ -93,17 +93,18 @@ class LevelScheme(_Record, namedtuple("LevelScheme", "levels cumulative params")
 _N_MAX_STEP = 8
 
 
-def _cut(energies: list[float], next_shell_floor: float, n_hi: int, count_limit: int):
+def _cut(energies: list[float], n_hi: int, count_limit: int):
     """(order, totals, complete) of the scheme of shells 0..n_hi.
 
-    energies is the column of _shape(n_hi), or a longer one that starts
-    with it.  order is the column's indices in energy order (the stable
-    one-key sort), totals the running occupancies within count_limit:
-    order[:len(totals)] is kept.  For tau >= 0 the lowest level of shell m
-    is (m, m), rising with m, so the scheme is complete when count_limit,
-    not n_hi, ended it (a level was left out, or the total met the limit)
-    and shell n_hi+1 starts above the top kept energy.  Where the column is
-    accepted, (0, 0) is its lowest level, so count_limit >= 2 keeps it.
+    energies is _energies_up_to's list for n_hi, the column of _shape(n_hi)
+    and then the floor E(n_hi + 1, n_hi + 1), or a longer column, which
+    holds the floor at that index.  order is the column's indices in energy
+    order (the stable one-key sort), totals the running occupancies within
+    count_limit: order[:len(totals)] is kept.  For tau >= 0 the lowest level
+    of shell m is (m, m), rising with m, so the scheme is complete when
+    count_limit, not n_hi, ended it (a level was left out, or the total met
+    the limit) and the floor lies above the top kept energy.  Where the
+    column is accepted, (0, 0) is its lowest level, so count_limit >= 2 keeps it.
     """
     _, _, degeneracies, by_n_l = _shape(n_hi)
     order = sorted(by_n_l, key=energies.__getitem__)
@@ -111,7 +112,7 @@ def _cut(energies: list[float], next_shell_floor: float, n_hi: int, count_limit:
     totals = list(takewhile(partial(ge, count_limit), running))
     k = len(totals)
     complete = ((k < len(order) or totals[-1] == count_limit)
-                and next_shell_floor > energies[order[k - 1]])
+                and energies[len(order)] > energies[order[k - 1]])
     return order, totals, complete
 
 
@@ -119,9 +120,8 @@ def _required_n_max(p: ModelParameters, count_limit: int) -> int:
     """The smallest n_max above p.n_max whose scheme is complete.
 
     The energy column up to a trial bound is computed once, and every
-    candidate below that bound is cut on its prefix, with the level after
-    the prefix, (n + 1, n + 1), as the floor; the bound grows by
-    _N_MAX_STEP shells only if no candidate passes.  Where that column is
+    candidate up to that bound is cut on it, floor included; the bound grows
+    by _N_MAX_STEP shells only if no candidate passes.  Where that column is
     refused, each candidate is cut on its own column, and the search raises
     only where that is refused too.  Candidates whose shells hold fewer
     than count_limit particles, (n+1)(n+2)(n+3)/3, are skipped.
@@ -132,13 +132,12 @@ def _required_n_max(p: ModelParameters, count_limit: int) -> int:
     while True:
         n_hi = n + _N_MAX_STEP
         try:
-            energies, _ = _energies_up_to(p, n_hi + 1)
+            energies = _energies_up_to(p, n_hi)
         except ValueError:
             energies = None
         while n < n_hi:
             n += 1
-            column = (energies, energies[len(_shape(n)[0])]) if energies else _energies_up_to(p, n)
-            if _cut(*column, n, count_limit)[2]:
+            if _cut(energies or _energies_up_to(p, n), n, count_limit)[2]:
                 return n
 
 
@@ -161,7 +160,7 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     # holds at least it.
     levels = enumerate_levels(p)
     next_shell_floor = _level_energy(p.deformation.tau, p.hbar_omega0)(p.n_max + 1, p.n_max + 1)
-    order, totals, complete = _cut(list(map(itemgetter(2), levels)), next_shell_floor, p.n_max,
+    order, totals, complete = _cut([*map(itemgetter(2), levels), next_shell_floor], p.n_max,
                                    count_limit)
     kept = tuple(map(levels.__getitem__, order[:len(totals)]))
     if not complete:

@@ -213,13 +213,13 @@ def _check_rounding(tau: float, q: float, n_hi: int, level=None) -> None:
         )
 
 
-def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
-    """energy(n, l, p) of each level of _shape(n_hi), and the floor E(n_hi+1, n_hi+1).
+def _energies_up_to(p: ModelParameters, n_hi: int) -> list[float]:
+    """energy(n, l, p) of each level of _shape(n_hi), then the floor E(n_hi+1, n_hi+1).
 
-    Both in _level_energy's operations, so bit for bit energy()'s where it
-    accepts them; past the float range the floor may read +inf.  Raises
-    ValueError when a level of shells 0..n_hi or the floor's powers overflow
-    a float, and when cancellation could put an energy further than
+    All in _level_energy's operations, so bit for bit energy()'s and a longer
+    column's where accepted; past the float range the floor may read +inf.
+    Raises ValueError when a level of shells 0..n_hi or the floor's powers
+    overflow a float, and when cancellation could put an energy further than
     _TOLERANCE of its value from the exact one: the two terms of E(n, l)
     grow as e^(2 tau n) while E(n, n) = sinh(2 n tau) / sinh(2 tau), so
     above tau of about 8 (E(1, 1) = 1 evaluates to 0.0 at tau = 20).
@@ -246,7 +246,7 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[list[float], float]:
         raise _overflow(p, n_hi + 1) from None
     _check_rounding(tau, q, n_hi)
     # Shell n's levels in _shape's order, l = n, n - 2, ..., 1 or 0.
-    return [hbar_omega0 * (s - c) for n, s in enumerate(shell) for c in casimir[n::-2]], floor
+    return [hbar_omega0 * (s - c) for n, s in enumerate(shell) for c in casimir[n::-2]] + [floor]
 
 
 def _level_energy(tau: float, hbar_omega0: float):
@@ -266,6 +266,6 @@ def enumerate_levels(p: ModelParameters) -> list[Level]:
     Shell n contributes floor(n/2) + 1 levels totalling (n+1)(n+2) particles.
     """
     ns, ls, degeneracies, _ = _shape(p.n_max)
-    energies, _ = _energies_up_to(p, p.n_max)
+    energies = _energies_up_to(p, p.n_max)  # zip ends at the shape, before the floor
     # _shape takes each (n, l) from allowed_l, so Level's check would pass.
     return list(map(tuple.__new__, repeat(Level), zip(ns, ls, energies, degeneracies)))

@@ -469,8 +469,8 @@ def test_fit_follows_its_own_n_max_advice(capsys):
 
 
 def test_n_max_advice_near_cancellation_exits_1(capsys):
-    # The n_max search's trial column (shells 0..31) cancels at tau = 7.5, but
-    # shells 0..24 do not, and n_max 24 holds the 5000 particles.  The
+    # The n_max search's step column (shells 0..30) is accepted at tau = 7.5,
+    # shells 0..31 cancel, and n_max 24 holds the 5000 particles.  The
     # truncation energy, a 144-digit number, is printed in exponent form.
     argv = ["magics", "--tau", "7.5", "--count-limit", "5000"]
     status, out = capture(parse_args(argv + ["--n-max", "22"]))
@@ -513,6 +513,15 @@ def test_data_dir_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("QSHELL_DATA_DIR", str(tmp_path))
     _, out = capture(RunConfig("compare", dataset_path="knight"))
     assert "tp 2 fp 23 fn 0" in out
+
+
+def test_empty_data_dir_env_is_unset(tmp_path, monkeypatch):
+    # QSHELL_DATA_DIR= means the bundled data, not <name>.txt in the working directory.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QSHELL_DATA_DIR", "")
+    status, out = capture(RunConfig("compare", dataset_path="martin"))
+    assert status == 0
+    assert out == (GOLDEN / "cli-mix" / "compare_dataset_martin.out").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("kind", ["file", "directory"])

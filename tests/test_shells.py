@@ -122,10 +122,12 @@ def _suggested_n_max(exc):
 @example(tau=0.038, count_limit=2281, n_max=16)
 @example(tau=0.0, count_limit=2280, n_max=16)
 @example(tau=0.0, count_limit=2281, n_max=16)
-# The search's trial column, shells 0..31, cancels at tau = 7.5; shells 0..24 do not.
+# At tau = 7.5 the search's step column from 22, shells 0..30, is accepted; from 23,
+# shells 0..31 cancel, and each candidate is cut on its own column.
 @example(tau=7.5, count_limit=5000, n_max=22)
+@example(tau=7.5, count_limit=5000, n_max=23)
 # The search passes its first step: candidates 61..68 are cut on the column
-# of shells 0..69 and fail, and the next column, to shell 77, holds 70.
+# of shells 0..68 and fail, and the next column, to shell 76, holds 70.
 @example(tau=0.01, count_limit=80000, n_max=1)
 def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
     # Brute-force oracle: an accepted scheme is the one every larger bound
@@ -143,6 +145,28 @@ def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
     larger = build_scheme(params(tau=tau, n_max=n_max + 8), count_limit)
     assert scheme.levels == larger.levels
     assert scheme.cumulative == larger.cumulative
+
+
+@pytest.mark.parametrize("tau, n_max, reason", [
+    (7.7, 8, "shell 9 starts below the truncation energy 3.199486e+53"),
+    (7.714, 1, "shells 0..1 hold only 8 particles"),
+])
+def test_n_max_search_at_the_edge_of_its_step_column(tau, n_max, reason):
+    # The search's step column, shells 0..n_hi, is accepted here and one shell
+    # more would cancel: the candidates are cut on it, and give the answer
+    # that cutting each on its own column gives.
+    p = params(tau=tau, n_max=n_max)
+    n_hi = max(n_max, 7) + _N_MAX_STEP  # candidates from 8, the first shells to hold 330
+    _energies_up_to(p, n_hi)
+    with pytest.raises(ValueError, match=rf"shells 0\.\.{n_hi + 1} cancel"):
+        _energies_up_to(p, n_hi + 1)
+    with pytest.raises(InsufficientNMaxError) as err:
+        build_scheme(p, 330)
+    assert str(err.value) == (f"n_max={n_max} is too small for count_limit=330: {reason}; "
+                              "use n_max >= 9")
+    for candidate in range(n_max + 1, 9):
+        assert not _cut(_energies_up_to(p, candidate), candidate, 330)[2]
+    assert _cut(_energies_up_to(p, 9), 9, 330)[2]
 
 
 # The sort key before the one-key sort; build_scheme's docstring order.
@@ -177,8 +201,8 @@ def _builds(p, count_limit):
        count_limit=st.integers(min_value=2, max_value=3000))
 def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
     # The one-key sort is the (energy, n, l) sort, on build_scheme's column
-    # (shells 0..n_max) and as a prefix of the longer column _required_n_max
-    # cuts (shells 0..n_max + _N_MAX_STEP + 1), and complete is exactly
+    # (shells 0..n_max) and as a prefix of a longer column (shells 0..n_max +
+    # _N_MAX_STEP + 1), as _required_n_max cuts its candidates, and complete is exactly
     # build_scheme's acceptance at every bound.
     p = params(tau=tau, hw=hw, n_max=n_max)
     longer = enumerate_levels(p._replace(n_max=n_max + _N_MAX_STEP + 1))
@@ -187,12 +211,12 @@ def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
         column = enumerate_levels(p._replace(n_max=n))
         floor = energy(n + 1, n + 1, p)
         assert longer_energies[len(column)] == floor
-        for energies in ([lev.energy for lev in column], longer_energies):
-            order, totals, complete = _cut(energies, floor, n, count_limit)
+        for energies in ([lev.energy for lev in column] + [floor], longer_energies):
+            order, totals, complete = _cut(energies, n, count_limit)
             assert [longer[i] for i in order] == sorted(column, key=_energy_n_l)
             assert totals == _old_truncated(sorted(column, key=_energy_n_l), count_limit)[1]
             assert complete == _builds(p._replace(n_max=n), count_limit)
-    order, _, _ = _cut(longer_energies, math.inf, n_max + _N_MAX_STEP + 1, count_limit)
+    order, _, _ = _cut(longer_energies + [math.inf], n_max + _N_MAX_STEP + 1, count_limit)
     assert [longer[i] for i in order] == sorted(longer, key=_energy_n_l)
 
 

@@ -284,7 +284,7 @@ def test_next_shell_floor_is_bitwise_energy(tau, hw, n_hi):
     # and refuses a floor past the float range, which the column lets read inf.
     p = params(tau, hw, n_hi)
     try:
-        _, floor = _energies_up_to(p, n_hi)
+        floor = _energies_up_to(p, n_hi)[-1]
     except ValueError:  # the table itself overflows
         return
     if not math.isfinite(floor):
@@ -292,6 +292,35 @@ def test_next_shell_floor_is_bitwise_energy(tau, hw, n_hi):
             energy(n_hi + 1, n_hi + 1, p)
         return
     assert floor.hex() == energy(n_hi + 1, n_hi + 1, p).hex()
+
+
+@settings(deadline=None)
+@given(
+    tau=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.2),
+                  st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=5.0, max_value=8.6)),
+    hw=st.one_of(st.just(1.0), st.just(1.7), st.floats(min_value=1e-3, max_value=1e3),
+                 st.just(1e300)),
+    n=st.integers(min_value=1, max_value=45),
+)
+@example(tau=0.0, hw=1.0, n=1)
+@example(tau=7.7, hw=1.0, n=16)  # the column to shell 24 refuses, as it cancels
+def test_column_ends_with_its_floor_as_a_longer_column_holds_it(tau, hw, n):
+    # _cut reads the floor at the column's end, and _required_n_max reads each
+    # candidate's at the same index of its step column to shell n + 8.
+    p = params(tau, hw, n)
+    try:
+        column = _energies_up_to(p, n)
+    except ValueError:
+        return
+    assert len(column) == len(_shape(n)[0]) + 1
+    if math.isfinite(column[-1]):
+        assert column[-1].hex() == energy(n + 1, n + 1, p).hex()
+    try:
+        longer = _energies_up_to(p, n + 8)
+    except ValueError:
+        return
+    # The floor too: the entry at len(_shape(n)[0]) is column[-1].
+    assert [e.hex() for e in longer[:len(column)]] == [e.hex() for e in column]
 
 
 def test_enumerate_levels_counts_and_capacity():
@@ -391,7 +420,7 @@ def test_accepted_energies_are_within_their_rounding_bound(tau, hw, n_hi):
     # and within _TOLERANCE of it relatively; beyond that it refuses.
     p = params(tau, hw, n_hi)
     try:
-        energies, floor = _energies_up_to(p, n_hi)
+        *energies, floor = _energies_up_to(p, n_hi)
     except ValueError as exc:
         assert "overflow a float" in str(exc) or "cancel at tau" in str(exc)
         return
@@ -497,7 +526,7 @@ def test_drift_bounds_hold(tau_hi, share, n_max, hw, first, second):
                 + 2.0 ** -40 * (shell2[na] + shell2[nb] + casimir2[la] + casimir2[lb]))
         assert abs(curvature_a - curvature_b) <= pair <= 2 * m
         assert abs(curvature_a) <= shell2[na] + casimir2[la]  # against E(0, 0) = 0
-        energies, floor = _energies_up_to(params(tau, hw, n_max), n_max)
+        *energies, floor = _energies_up_to(params(tau, hw, n_max), n_max)
         # Shells 0..n_max keep their table index; shell n_max + 1 is the floor.
         for i in (a, b):
             if ls[i] == ns[i] or ns[i] <= n_max:
@@ -512,7 +541,7 @@ def test_drift_bounds_hold(tau_hi, share, n_max, hw, first, second):
 def test_level_energy_is_the_column_bit_for_bit(tau, hw, n_max):
     # One level at a time, the sweep's stations see the kernel's floats.
     try:
-        energies, floor = _energies_up_to(params(tau, hw, n_max), n_max)
+        *energies, floor = _energies_up_to(params(tau, hw, n_max), n_max)
     except ValueError:
         return
     level = _level_energy(tau, hw)
