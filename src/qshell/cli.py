@@ -148,7 +148,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     config = RunConfig(**options)
     if not (math.isfinite(config.tau) and config.tau >= 0):
         parser.error(f"--tau must be finite and >= 0, got {config.tau!r}")
-    # A subnormal scale rounds distinct energies to ties and reorders levels.
+    # A subnormal scale rounds energies of different shells to ties and misorders them.
     if not sys.float_info.min <= config.hbar_omega0 <= sys.float_info.max:
         parser.error(f"--hbar-omega0 must be a normal positive float, got {config.hbar_omega0!r}")
     if not 1 <= config.n_max <= MAX_N_MAX:
@@ -255,7 +255,7 @@ def _cmd_table(config: RunConfig) -> str:
 
 
 def _load_dataset_for(config: RunConfig):
-    return load_named_dataset(config.dataset_path, data_dir=os.environ.get("QSHELL_DATA_DIR") or None)
+    return load_named_dataset(config.dataset_path, data_dir=os.environ.get("QSHELL_DATA_DIR"))
 
 
 def _cmd_compare(config: RunConfig) -> str:

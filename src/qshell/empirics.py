@@ -157,7 +157,7 @@ def load_named_dataset(spec: str, data_dir: str | None = None) -> ExperimentalDa
     """Load a dataset by bundled name or by explicit file path.
 
     A bare name (no path separator, no .txt suffix) is resolved as
-    data_dir/<name>.txt when data_dir is given, else among the bundled
+    data_dir/<name>.txt for a non-empty data_dir, else among the bundled
     datasets, so a local file or directory of the same name never shadows
     it; write ./martin to read a local file.  A bare name that is not
     bundled falls back to a local file of that name.  Anything else is a
@@ -165,7 +165,7 @@ def load_named_dataset(spec: str, data_dir: str | None = None) -> ExperimentalDa
     """
     path = spec
     if not ("/" in spec or "\\" in spec or spec.endswith(".txt")):  # a bare name
-        if data_dir is not None:
+        if data_dir:
             path = os.path.join(data_dir, f"{spec}.txt")
         elif spec in BUNDLED_DATASETS:  # installed beside this module
             path = os.path.join(os.path.dirname(__file__), "data", f"{spec}.txt")
@@ -286,14 +286,14 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
     The list is read off the energy column of shells 0..n_max and its floor,
-    cut by _cut exactly as build_scheme cuts them: a refused column raises
+    cut by _cut at p's tau as build_scheme cuts them: a refused column raises
     build_scheme's ValueError.  Returns None where the cut is incomplete, else
     ((primaries, (k, prefix)), tied): the sweep's state, with k the kept count
     and prefix the table indices of the kept levels and the one above them in
-    energy order, and whether two of those tie.  Checks no argument.
+    _cut's order, ties included, and whether two of those tie.  Checks no argument.
     """
     energies = _energies_up_to(p, p.n_max)
-    order, totals, complete = _cut(energies, p.n_max, count_limit)
+    order, totals, complete = _cut(energies, p.n_max, count_limit, p.deformation.tau)
     if not complete:
         return None
     k = len(totals)

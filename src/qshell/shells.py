@@ -1,15 +1,15 @@
 """Energy-ordered level schemes, shell gaps and magic numbers.
 
-Levels are sorted by energy (ties broken by n then l), occupancies are
-accumulated, and a gap between adjacent levels larger than the primary
-threshold closes a shell: the cumulative count at the closing level is a
-magic number.  Gaps in the secondary band are reported as weaker
-closures.
+Levels are sorted by energy, occupancies are accumulated, and a gap
+between adjacent levels larger than the primary threshold closes a shell:
+the cumulative count at the closing level is a magic number.  Gaps in the
+secondary band are reported as weaker closures.
 
-The sort has one key, the energy.  It reads the table in (n, ascending l)
-order, and Python's sort is stable, so levels of equal energy keep that
-order: the result equals a sort on (energy, n, l), ties at tau = 0
-included, without building a key tuple per level.
+The sort has one key, the energy, and is stable, so the table order it
+reads decides ties; tau picks it.  For tau > 0 and l < l', E(n, l) -
+E(n, l') = hbar_omega0 q tanh(tau) ([l'][l'+1] - [l][l+1]) > 0: the
+table's (n, descending l) order is a shell's exact order.  At tau = 0
+every level of shell n is n hbar_omega0: the reversed table gives (n, l).
 
 _cut is the one place that sorts, cuts at the count limit and judges a
 scheme complete.  Its sort leaves the kept energies non-decreasing and
@@ -93,21 +93,23 @@ class LevelScheme(_Record, namedtuple("LevelScheme", "levels cumulative params")
 _N_MAX_STEP = 8
 
 
-def _cut(energies: list[float], n_hi: int, count_limit: int):
-    """(order, totals, complete) of the scheme of shells 0..n_hi.
+def _cut(energies: list[float], n_hi: int, count_limit: int, tau: float):
+    """(order, totals, complete) of the scheme of shells 0..n_hi at tau.
 
     energies is _energies_up_to's list for n_hi, the column of _shape(n_hi)
     and then the floor E(n_hi + 1, n_hi + 1), or a longer column, which
     holds the floor at that index.  order is the column's indices in energy
-    order (the stable one-key sort), totals the running occupancies within
-    count_limit: order[:len(totals)] is kept.  For tau >= 0 the lowest level
-    of shell m is (m, m), rising with m, so the scheme is complete when
-    count_limit, not n_hi, ended it (a level was left out, or the total met
-    the limit) and the floor lies above the top kept energy.  Where the
-    column is accepted, (0, 0) is its lowest level, so count_limit >= 2 keeps it.
+    order, ties in table order at tau > 0 and reversed at tau = 0 (see
+    above), and totals the running occupancies within count_limit:
+    order[:len(totals)] is kept.  For tau >= 0 the lowest level of shell m
+    is (m, m), rising with m, so the scheme is complete when count_limit,
+    not n_hi, ended it (a level was left out, or the total met the limit)
+    and the floor lies above the top kept energy.  Where the column is
+    accepted, (0, 0) is its lowest level, so count_limit >= 2 keeps it.
     """
-    _, _, degeneracies, by_n_l = _shape(n_hi)
-    order = sorted(by_n_l, key=energies.__getitem__)
+    degeneracies = _shape(n_hi)[2]
+    table = range(len(degeneracies))
+    order = sorted(table if tau else reversed(table), key=energies.__getitem__)
     running = accumulate(map(degeneracies.__getitem__, order))
     totals = list(takewhile(partial(ge, count_limit), running))
     k = len(totals)
@@ -137,7 +139,7 @@ def _required_n_max(p: ModelParameters, count_limit: int) -> int:
             energies = None
         while n < n_hi:
             n += 1
-            if _cut(energies or _energies_up_to(p, n), n, count_limit)[2]:
+            if _cut(energies or _energies_up_to(p, n), n, count_limit, p.deformation.tau)[2]:
                 return n
 
 
@@ -161,7 +163,7 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     levels = enumerate_levels(p)
     next_shell_floor = _level_energy(p.deformation.tau, p.hbar_omega0)(p.n_max + 1, p.n_max + 1)
     order, totals, complete = _cut([*map(itemgetter(2), levels), next_shell_floor], p.n_max,
-                                   count_limit)
+                                   count_limit, p.deformation.tau)
     kept = tuple(map(levels.__getitem__, order[:len(totals)]))
     if not complete:
         if next_shell_floor > kept[-1].energy:

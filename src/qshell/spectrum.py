@@ -81,8 +81,8 @@ class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_o
 
     def __new__(cls, deformation: DeformationParameter,
                 hbar_omega0: float = DEFAULT_HBAR_OMEGA0, n_max: int = DEFAULT_N_MAX):
-        # A subnormal scale rounds distinct energies to ties, and the sort
-        # would fall back to (n, l) order.
+        # A subnormal scale rounds energies of different shells to ties,
+        # which no table order ranks exactly.
         if not sys.float_info.min <= hbar_omega0 <= sys.float_info.max:
             raise ValueError(f"hbar_omega0 must be a normal positive float, got {hbar_omega0!r}")
         if not hasattr(n_max, "__index__") or (n_max := n_max.__index__()) < 1:
@@ -155,14 +155,12 @@ def energy_taylor(n: int, l: int, p: ModelParameters, order: int) -> float:
 def _shape(n_hi: int) -> tuple[tuple[int, ...], ...]:
     """The tau-independent columns of the levels with 0 <= n <= n_hi.
 
-    Returns (ns, ls, degeneracies, by_n_l): the n, l and 2(2l+1) of each
-    level in (n, descending l) enumeration order, and the indices that
-    visit the levels in (n, ascending l) order.  allowed_l gives each
-    shell's l's, so every (n, l, 2(2l+1)) is one Level accepts.
+    Returns (ns, ls, degeneracies): the n, l and 2(2l+1) of each level in
+    (n, descending l) enumeration order.  allowed_l gives each shell's l's,
+    so every (n, l, 2(2l+1)) is one Level accepts.
     """
     ns, ls = zip(*[(n, l) for n in range(n_hi + 1) for l in allowed_l(n)])
-    by_n_l = sorted(range(len(ns)), key=lambda i: (ns[i], ls[i]))
-    return ns, ls, tuple(2 * (2 * l + 1) for l in ls), tuple(by_n_l)
+    return ns, ls, tuple(2 * (2 * l + 1) for l in ls)
 
 
 def _overflow(p: ModelParameters, n_hi: int) -> ValueError:
@@ -265,7 +263,7 @@ def enumerate_levels(p: ModelParameters) -> list[Level]:
 
     Shell n contributes floor(n/2) + 1 levels totalling (n+1)(n+2) particles.
     """
-    ns, ls, degeneracies, _ = _shape(p.n_max)
+    ns, ls, degeneracies = _shape(p.n_max)
     energies = _energies_up_to(p, p.n_max)  # zip ends at the shape, before the floor
     # _shape takes each (n, l) from allowed_l, so Level's check would pass.
     return list(map(tuple.__new__, repeat(Level), zip(ns, ls, energies, degeneracies)))

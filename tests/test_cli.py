@@ -359,6 +359,15 @@ def test_levels_formats_agree():
     assert len(from_text) == 62  # levels kept within the default 1520
 
 
+def test_levels_cuts_same_shell_ties_in_the_exact_order():
+    # (14, 2) and (14, 0) tie in float at tau 1.558, but (14, 2) lies exactly
+    # below (14, 0) and does not fit: the scheme stops at (14, 4), total 1410.
+    status, out = capture(parse_args(["levels", "--tau", "1.558", "--count-limit", "1412"]))
+    assert status == 0
+    n, l, _, _, total = out.splitlines()[-1].split()
+    assert (n, l, total) == ("14", "4", "1410")
+
+
 def test_levels_csv_round_trips_full_precision():
     _, out = capture(RunConfig("levels", format="csv"))
     rows = list(csv.DictReader(io.StringIO(out)))

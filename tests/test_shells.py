@@ -1,7 +1,8 @@
 import math
 import re
-from operator import itemgetter
+import sys
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,7 +20,7 @@ from qshell.shells import (
     render_table,
     _cut,
 )
-from qshell.spectrum import (Level, ModelParameters, _energies_up_to, _shape, energy,
+from qshell.spectrum import (Level, ModelParameters, _energies_up_to, _shape, allowed_l, energy,
                              enumerate_levels)
 
 PRIMARY_MAGICS = [
@@ -77,6 +78,85 @@ def test_degenerate_shells_tie_break():
     ]
     # per-shell totals are unaffected by intra-shell order
     assert [c for c in s.cumulative if c in (2, 8, 20, 40)] == [2, 8, 20, 40]
+
+
+# (tau, count_limit, n_max, hbar_omega0): each column holds float ties within
+# a shell, and at tau 1.558 (14, 2) and (14, 0) tie just above the cut.
+EXACT_ORDER_INPUTS = [
+    (1.558, 1412, 24, 1.0), (1.3, 1520, 24, 1.0),
+    (2.0, 1520, 24, 1.0), (3.0, 1520, 24, 1.0), (5.0, 1520, 24, 1.0), (7.0, 1520, 24, 1.0),
+    (2.631647282022267, 17819, 38, 1.7),
+    (0.5, 50000, 80, 1.0),
+    (1e-17, 10, 24, 1.0),
+]
+
+
+def _exact_cut(tau, count_limit, n_max, hw):
+    # The levels of shells 0..n_max ranked by their 200-digit energies, kept
+    # while the running total stays within count_limit.
+    with mpmath.workdps(200):
+        t = mpmath.mpf(tau)
+        bracket = [mpmath.sinh(t * k) / mpmath.sinh(t) for k in range(n_max + 2)]
+        q, coeff = mpmath.exp(t), mpmath.exp(t) * mpmath.tanh(t)
+
+        def exact(level):
+            n, l = level
+            return hw * (bracket[n] * q ** (n + 1) - coeff * bracket[l] * bracket[l + 1])
+
+        ranked = sorted(zip(*_shape(n_max)[:2]), key=exact)
+    kept, total = [], 0
+    for n, l in ranked:
+        total += 2 * (2 * l + 1)
+        if total > count_limit:
+            return kept
+        kept.append((n, l))
+    return kept
+
+
+@pytest.mark.parametrize("tau, count_limit, n_max, hw", EXACT_ORDER_INPUTS)
+def test_kept_order_is_the_exact_ranking(tau, count_limit, n_max, hw):
+    scheme = build_scheme(params(tau=tau, hw=hw, n_max=n_max), count_limit)
+    assert [(lev.n, lev.l) for lev in scheme.levels] == _exact_cut(tau, count_limit, n_max, hw)
+
+
+@settings(deadline=None)
+@given(tau=st.one_of(st.floats(min_value=1e-300, max_value=1e-15),
+                     st.floats(min_value=1e-15, max_value=8.0)),
+       hw=st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=5.0)),
+       n_max=st.integers(min_value=1, max_value=60),
+       count_limit=st.integers(min_value=2, max_value=20000))
+@example(tau=1.558, hw=1.0, n_max=24, count_limit=1412)
+@example(tau=2.631647282022267, hw=1.7, n_max=38, count_limit=17819)
+def test_each_shell_keeps_its_highest_l_first(tau, hw, n_max, count_limit):
+    # For tau > 0 a shell's energies fall as l rises, and its float energies
+    # never rise with l (the shell term is shared and the Casimir table is
+    # monotone), so each shell keeps its highest l's, in descending order,
+    # float ties included.
+    p = params(tau=tau, hw=hw, n_max=n_max)
+    try:
+        try:
+            scheme = build_scheme(p, count_limit)
+        except InsufficientNMaxError as err:
+            scheme = build_scheme(p._replace(n_max=_suggested_n_max(err)), count_limit)
+    except ValueError:  # the energies cancel or overflow
+        return
+    kept = [(lev.n, lev.l) for lev in scheme.levels]
+    for n in {n for n, _ in kept}:
+        ls = [l for m, l in kept if m == n]
+        assert ls == allowed_l(n)[:len(ls)]
+
+
+@settings(deadline=None)
+@given(hw=st.one_of(st.sampled_from([1.0, 1.7, 0.1, 3e-300, 1e300]),
+                    st.floats(min_value=sys.float_info.min, max_value=1e306)),
+       n_max=st.integers(min_value=1, max_value=119))
+def test_degenerate_order_is_n_then_ascending_l(hw, n_max):
+    # At tau = 0 shell n is exactly hbar_omega0 n, and no two shells tie, so
+    # the order is the (n, ascending l) sort.
+    ns, ls, _ = _shape(n_max)
+    energies = _energies_up_to(params(tau=0.0, hw=hw, n_max=n_max), n_max)
+    order, _, _ = _cut(energies, n_max, 2, 0.0)
+    assert [(ns[i], ls[i]) for i in order] == sorted(zip(ns, ls))
 
 
 def test_count_limit_validation():
@@ -165,12 +245,15 @@ def test_n_max_search_at_the_edge_of_its_step_column(tau, n_max, reason):
     assert str(err.value) == (f"n_max={n_max} is too small for count_limit=330: {reason}; "
                               "use n_max >= 9")
     for candidate in range(n_max + 1, 9):
-        assert not _cut(_energies_up_to(p, candidate), candidate, 330)[2]
-    assert _cut(_energies_up_to(p, 9), 9, 330)[2]
+        assert not _cut(_energies_up_to(p, candidate), candidate, 330, tau)[2]
+    assert _cut(_energies_up_to(p, 9), 9, 330, tau)[2]
 
 
-# The sort key before the one-key sort; build_scheme's docstring order.
-_energy_n_l = itemgetter(2, 0, 1)
+def _energy_n_l(tau):
+    # The sort key of the exact order: energy, n, then l ascending at tau = 0
+    # and descending for tau > 0, where a shell's energies fall as l rises.
+    sign = -1 if tau else 1
+    return lambda lev: (lev.energy, lev.n, sign * lev.l)
 
 
 def _old_truncated(ordered, count_limit):
@@ -199,8 +282,10 @@ def _builds(p, count_limit):
 @given(tau=taus, hw=st.floats(min_value=0.1, max_value=5.0),
        n_max=st.integers(min_value=1, max_value=40),
        count_limit=st.integers(min_value=2, max_value=3000))
+@example(tau=6.4e-17, hw=1.0, n_max=24, count_limit=1520)
+@example(tau=1.8e-304, hw=1.0, n_max=24, count_limit=1520)
 def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
-    # The one-key sort is the (energy, n, l) sort, on build_scheme's column
+    # The one-key sort is the (energy, n, +-l) sort, on build_scheme's column
     # (shells 0..n_max) and as a prefix of a longer column (shells 0..n_max +
     # _N_MAX_STEP + 1), as _required_n_max cuts its candidates, and complete is exactly
     # build_scheme's acceptance at every bound.
@@ -212,12 +297,12 @@ def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
         floor = energy(n + 1, n + 1, p)
         assert longer_energies[len(column)] == floor
         for energies in ([lev.energy for lev in column] + [floor], longer_energies):
-            order, totals, complete = _cut(energies, n, count_limit)
-            assert [longer[i] for i in order] == sorted(column, key=_energy_n_l)
-            assert totals == _old_truncated(sorted(column, key=_energy_n_l), count_limit)[1]
+            order, totals, complete = _cut(energies, n, count_limit, tau)
+            assert [longer[i] for i in order] == sorted(column, key=_energy_n_l(tau))
+            assert totals == _old_truncated(sorted(column, key=_energy_n_l(tau)), count_limit)[1]
             assert complete == _builds(p._replace(n_max=n), count_limit)
-    order, _, _ = _cut(longer_energies + [math.inf], n_max + _N_MAX_STEP + 1, count_limit)
-    assert [longer[i] for i in order] == sorted(longer, key=_energy_n_l)
+    order, _, _ = _cut(longer_energies + [math.inf], n_max + _N_MAX_STEP + 1, count_limit, tau)
+    assert [longer[i] for i in order] == sorted(longer, key=_energy_n_l(tau))
 
 
 def test_build_scheme_enumerates_the_levels_once_per_call(monkeypatch):
@@ -239,13 +324,15 @@ def test_build_scheme_enumerates_the_levels_once_per_call(monkeypatch):
 @settings(deadline=None)
 @given(tau=taus, n_max=st.integers(min_value=1, max_value=40),
        count_limit=st.integers(min_value=2, max_value=3000))
+@example(tau=6.4e-17, n_max=24, count_limit=1520)
+@example(tau=1.8e-304, n_max=24, count_limit=1520)
 def test_build_scheme_keeps_the_old_sort_and_cut(tau, n_max, count_limit):
     p = params(tau=tau, n_max=n_max)
     try:
         scheme = build_scheme(p, count_limit)
     except InsufficientNMaxError:
         return
-    kept, totals = _old_truncated(sorted(enumerate_levels(p), key=_energy_n_l), count_limit)
+    kept, totals = _old_truncated(sorted(enumerate_levels(p), key=_energy_n_l(tau)), count_limit)
     assert scheme.levels == tuple(kept)
     assert scheme.cumulative == tuple(totals)
 
@@ -316,6 +403,8 @@ def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap
 @given(tau=taus, n_max=st.integers(min_value=1, max_value=40),
        count_limit=st.integers(min_value=2, max_value=3000),
        gap=st.floats(min_value=0.0, max_value=2.0))
+@example(tau=6.4e-17, n_max=24, count_limit=1520, gap=0.39)
+@example(tau=1.8e-304, n_max=24, count_limit=1520, gap=0.39)
 def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max, count_limit,
                                                                     gap):
     # The cut is the kept count and the kept levels plus the one above them
@@ -329,7 +418,7 @@ def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max,
         return
     k = len(scheme.levels)
     levels = enumerate_levels(p)
-    prefix = sorted(levels, key=_energy_n_l)[:k + 1]
+    prefix = sorted(levels, key=_energy_n_l(tau))[:k + 1]
     assert prefix[:k] == list(scheme.levels)
     index = {(n, l): i for i, (n, l) in enumerate(zip(*_shape(n_max)[:2]))}
     state, _ = _fit_point(p, count_limit, gap)
