@@ -28,7 +28,7 @@ from operator import itemgetter
 from .qmath import DeformationParameter, _Record
 from .shells import _cut, build_scheme
 from .spectrum import (DEFAULT_HBAR_OMEGA0, DEFAULT_N_MAX, ModelParameters, _energies_up_to,
-                       _level_energy, _shape, _term_error)
+                       _level_energy, _shape, _term_error, allowed_l)
 
 __all__ = [
     "ObservedMagic",
@@ -80,7 +80,7 @@ class ObservedMagic(_Record, namedtuple("ObservedMagic", "value uncertainty pare
     __slots__ = ()
 
     def __new__(cls, value: int, uncertainty: int = 0, parenthesized: bool = False):
-        if value < 2:
+        if not value >= 2:  # nan too
             raise ValueError(f"magic number must be >= 2, got {value!r}")
         if not 0 <= uncertainty <= value:
             raise ValueError(f"uncertainty must be in [0, value], got ±{uncertainty!r}")
@@ -460,7 +460,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
 
         pairs, inside = adjacent(0, k + 1), set(order)
         for n in range(n_max + 1 if len(order) > k else 0):
-            outside = [(n, l) for l in range(n, -1, -2) if (n, l) not in inside][:1]
+            outside = [(n, l) for l in allowed_l(n) if (n, l) not in inside][:1]
             pairs.update(((order[k], x), None) for x in outside)
             if outside == [(n, n)]:
                 break

@@ -24,10 +24,10 @@ from collections import namedtuple
 from enum import Enum
 from functools import partial
 from itertools import accumulate, takewhile
-from operator import ge, itemgetter
+from operator import ge
 
 from .qmath import _Record
-from .spectrum import Level, ModelParameters, _energies_up_to, _level_energy, _shape, enumerate_levels
+from .spectrum import Level, ModelParameters, _energies_up_to, _shape, enumerate_levels
 
 __all__ = [
     "MagicGrade",
@@ -59,7 +59,7 @@ class MagicRecord(_Record, namedtuple("MagicRecord", "after_level gap count grad
     __slots__ = ()
 
     def __new__(cls, after_level: Level, gap: float, count: int, grade: MagicGrade):
-        if gap <= 0:
+        if not gap > 0:  # nan too
             raise ValueError(f"gap must be positive, got {gap!r}")
         if count < 1:
             raise ValueError(f"count must be positive, got {count!r}")
@@ -93,10 +93,10 @@ class LevelScheme(_Record, namedtuple("LevelScheme", "levels cumulative params")
 _N_MAX_STEP = 8
 
 
-def _cut(energies: list[float], n_hi: int, count_limit: int, tau: float):
+def _cut(energies: tuple[float, ...], n_hi: int, count_limit: int, tau: float):
     """(order, totals, complete) of the scheme of shells 0..n_hi at tau.
 
-    energies is _energies_up_to's list for n_hi, the column of _shape(n_hi)
+    energies is _energies_up_to's tuple for n_hi, the column of _shape(n_hi)
     and then the floor E(n_hi + 1, n_hi + 1), or a longer column, which
     holds the floor at that index.  order is the column's indices in energy
     order, ties in table order at tau > 0 and reversed at tau = 0 (see
@@ -159,14 +159,12 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
         raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
     # enumerate_levels raises where the energies overflow or cancel, the
     # floor's included, and otherwise (0, 0) is the lowest level, so kept
-    # holds at least it.
-    levels = enumerate_levels(p)
-    next_shell_floor = _level_energy(p.deformation.tau, p.hbar_omega0)(p.n_max + 1, p.n_max + 1)
-    order, totals, complete = _cut([*map(itemgetter(2), levels), next_shell_floor], p.n_max,
-                                   count_limit, p.deformation.tau)
+    # holds at least it.  Its column is the one _energies_up_to keeps.
+    levels, energies = enumerate_levels(p), _energies_up_to(p, p.n_max)
+    order, totals, complete = _cut(energies, p.n_max, count_limit, p.deformation.tau)
     kept = tuple(map(levels.__getitem__, order[:len(totals)]))
     if not complete:
-        if next_shell_floor > kept[-1].energy:
+        if energies[-1] > kept[-1].energy:
             reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
         else:  # past 1e10, .6f prints more digits than a double holds
             energy = kept[-1].energy

@@ -1,6 +1,6 @@
 """Single-particle spectrum of the 3-dimensional deformed oscillator.
 
-Energies in units of hbar*omega0:
+Every energy is hbar_omega0 times
 
     E(n, l) = [n] q^(n+1) - q tanh(tau) [l][l+1],        q = e^tau
 
@@ -26,6 +26,8 @@ repr(energy)).  Both refuse a tau where the two terms overflow or cancel
 to more than a relative 1e-6 of rounding (above tau of about 8).
 The tau-independent (n, l, 2(2l+1)) columns of the table come from
 allowed_l, cached per n_max, so enumerate_levels() checks no Level.
+The last column is kept, an immutable tuple that build_scheme cuts; a
+test that patches this module's internals calls its cache_clear().
 """
 
 import math
@@ -63,7 +65,7 @@ def _check_branching(n: int, l: int) -> None:
 
 
 class Level(_Record, namedtuple("Level", "n l energy degeneracy")):
-    """One (n, l) eigenstate: energy in hbar*omega0 units, capacity 2(2l+1)."""
+    """One (n, l) eigenstate: a finite energy E(n, l), capacity 2(2l+1)."""
 
     __slots__ = ()
 
@@ -71,6 +73,8 @@ class Level(_Record, namedtuple("Level", "n l energy degeneracy")):
         _check_branching(n, l)
         if degeneracy != 2 * (2 * l + 1):
             raise ValueError(f"degeneracy {degeneracy} != 2(2l+1) = {2 * (2 * l + 1)}")
+        if not math.isfinite(energy):
+            raise ValueError(f"energy must be finite, got {energy!r}")
         return tuple.__new__(cls, (n, l, energy, degeneracy))
 
 
@@ -109,7 +113,7 @@ def casimir_eigenvalue(l: int, d: DeformationParameter) -> float:
 
 
 def energy(n: int, l: int, p: ModelParameters) -> float:
-    """Exact eigenvalue E(n, l), in hbar*omega0 units.
+    """Exact eigenvalue E(n, l), hbar_omega0 times the bracket formula.
 
     At tau = 0 this returns hbar_omega0 * n exactly, with no division, and
     E(0, 0), whose two terms are 0, is 0 at every tau.  Raises ValueError
@@ -211,7 +215,8 @@ def _check_rounding(tau: float, q: float, n_hi: int, level=None) -> None:
         )
 
 
-def _energies_up_to(p: ModelParameters, n_hi: int) -> list[float]:
+@lru_cache(maxsize=1)  # build_scheme cuts the column enumerate_levels just evaluated
+def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[float, ...]:
     """energy(n, l, p) of each level of _shape(n_hi), then the floor E(n_hi+1, n_hi+1).
 
     All in _level_energy's operations, so bit for bit energy()'s and a longer
@@ -220,7 +225,8 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> list[float]:
     overflow a float, and when cancellation could put an energy further than
     _TOLERANCE of its value from the exact one: the two terms of E(n, l)
     grow as e^(2 tau n) while E(n, n) = sinh(2 n tau) / sinh(2 tau), so
-    above tau of about 8 (E(1, 1) = 1 evaluates to 0.0 at tau = 20).
+    above tau of about 8 (E(1, 1) = 1 evaluates to 0.0 at tau = 20).  The
+    last column is kept, so it is a tuple; call cache_clear() after patching.
     """
     tau = p.deformation.tau
     hbar_omega0 = p.hbar_omega0
@@ -244,14 +250,14 @@ def _energies_up_to(p: ModelParameters, n_hi: int) -> list[float]:
         raise _overflow(p, n_hi + 1) from None
     _check_rounding(tau, q, n_hi)
     # Shell n's levels in _shape's order, l = n, n - 2, ..., 1 or 0.
-    return [hbar_omega0 * (s - c) for n, s in enumerate(shell) for c in casimir[n::-2]] + [floor]
+    return (*[hbar_omega0 * (s - c) for n, s in enumerate(shell) for c in casimir[n::-2]], floor)
 
 
 def _level_energy(tau: float, hbar_omega0: float):
     """(n, l) -> E(n, l), unchecked, n hbar_omega0 at tau = 0; each level of
     _energies_up_to's column bit for bit."""
     if tau == 0.0:
-        return lambda n, l: hbar_omega0 * n
+        return lambda n, l: hbar_omega0 * float(n)  # a float, as the column's, for an int scale
     sinh, sinh_tau, q = math.sinh, math.sinh(tau), math.exp(tau)
     casimir_coeff = q * math.tanh(tau)
     return lambda n, l: hbar_omega0 * (sinh(tau * n) / sinh_tau * q ** (n + 1) - casimir_coeff * (

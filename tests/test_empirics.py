@@ -736,7 +736,7 @@ def test_sweep_keeps_outside_levels_past_their_station_margin(monkeypatch):
     levels = list(zip(*_shape(24)[:2]))
 
     def perturbed_column(p, n_hi):
-        energies = column(p, n_hi)
+        energies = list(column(p, n_hi))  # the kept column is shared, so perturb a copy
         energies[levels.index(lower)] = energies[levels.index(first)] - delta
         return energies
 

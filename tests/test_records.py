@@ -48,6 +48,10 @@ INVALID_CHANGES = [
     (DATASET, {"entries": ()}, DatasetValidationError),
     (P, {"n_max": 24.0}, ValueError),
     (P, {"n_max": 2.5}, ValueError),
+    (GROUND, {"energy": float("nan")}, ValueError),
+    (GROUND, {"energy": float("inf")}, ValueError),
+    (RECORD, {"gap": float("nan")}, ValueError),
+    (OBSERVED, {"value": float("nan")}, ValueError),
 ]
 
 FIELDS = {

@@ -321,6 +321,14 @@ def test_build_scheme_enumerates_the_levels_once_per_call(monkeypatch):
         assert calls == [p]
 
 
+def test_build_scheme_evaluates_one_column_per_call():
+    # enumerate_levels evaluates the column, floor included, and _cut reads the kept one.
+    _energies_up_to.cache_clear()
+    build_scheme(params(), 1520)
+    info = _energies_up_to.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @settings(deadline=None)
 @given(tau=taus, n_max=st.integers(min_value=1, max_value=40),
        count_limit=st.integers(min_value=2, max_value=3000))

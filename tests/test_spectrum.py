@@ -323,6 +323,22 @@ def test_column_ends_with_its_floor_as_a_longer_column_holds_it(tau, hw, n):
     assert [e.hex() for e in longer[:len(column)]] == [e.hex() for e in column]
 
 
+def test_the_kept_column_is_one_tuple_for_equal_arguments():
+    column = _energies_up_to(P038, 24)
+    assert type(column) is tuple and _energies_up_to(params(0.038), 24) is column
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-9, 0.038, 1.0, 5.0])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_an_int_scale_gives_the_float_scale_column_bit_for_bit(tau, scale):
+    # Equal parameters share the kept column, so an int hbar_omega0 must give the same floats.
+    _energies_up_to.cache_clear()
+    ints = _energies_up_to(params(tau, scale), 24)
+    _energies_up_to.cache_clear()
+    floats = _energies_up_to(params(tau, float(scale)), 24)
+    assert list(map(float.hex, ints)) == list(map(float.hex, floats))
+
+
 def test_enumerate_levels_counts_and_capacity():
     levs = enumerate_levels(P038)
     assert len(levs) == sum(n // 2 + 1 for n in range(25))
