@@ -37,7 +37,7 @@ MAX_GRID_POINTS = 100_000
 # count limit the shells 0..n_max cannot hold makes build_scheme search
 # ever larger tables for the n_max to suggest.  1e6 particles need
 # n_max <= 150 at every tau, and one scheme at these caps takes at most
-# about 0.15 s; a fit builds one at its first point and where its sweep stops.
+# about 0.15 s; a fit builds one at its first point and at the first incomplete one.
 MAX_N_MAX = 200
 MAX_COUNT_LIMIT = 1_000_000
 # Largest total work of a fit: tau grid points times the levels of the

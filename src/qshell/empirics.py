@@ -271,8 +271,6 @@ def fit_tau(
     # The reference path at the first point checks every argument but tau and slack.
     predicted_primary_magics(grid[0], primary_gap, count_limit, hbar_omega0, n_max)
     states = _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max)
-    if len(states) < len(grid):  # the sweep stops short only where the reference path raises
-        predicted_primary_magics(grid[len(states)], primary_gap, count_limit, hbar_omega0, n_max)
     trace = []
     for predicted, run in groupby(map(itemgetter(0), states)):  # scored once a run
         f1 = match_magics(predicted, ds, slack=slack, include_paren=False).f1
@@ -286,16 +284,16 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
     The list is read off the energy column of shells 0..n_max and its floor,
-    cut by _cut at p's tau as build_scheme cuts them: a refused column raises
-    build_scheme's ValueError.  Returns None where the cut is incomplete, else
-    ((primaries, (k, prefix)), tied): the sweep's state, with k the kept count
-    and prefix the table indices of the kept levels and the one above them in
-    _cut's order, ties included, and whether two of those tie.  Checks no argument.
+    cut by _cut at p's tau as build_scheme cuts them: a refused column or an
+    incomplete cut raises build_scheme's error.  Returns ((primaries, (k,
+    prefix)), tied): the sweep's state, with k the kept count and prefix the
+    table indices of the kept levels and the one above them in _cut's order,
+    ties included, and whether two of those tie.  Checks no argument.
     """
     energies = _energies_up_to(p, p.n_max)
     order, totals, complete = _cut(energies, p.n_max, count_limit, p.deformation.tau)
     if not complete:
-        return None
+        build_scheme(p, count_limit)  # raises
     k = len(totals)
     prefix = tuple(order[:k + 1])
     ordered = list(map(energies.__getitem__, prefix))
@@ -393,7 +391,7 @@ def _certified(stretches, pair, thresholds, tau_a, v_a, tau_s, v_s) -> float:
 
 
 def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
-    """_fit_point's (primaries, cut) at each point of grid, up to the first it cannot finish.
+    """_fit_point's (primaries, cut) at each grid point, or its error at the first it cannot finish.
 
     A forward event sweep.  A state (the kept levels in energy order with the
     one above them, the prefix) holds while these level differences keep
@@ -413,6 +411,7 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
     kinetic data structures do (Basch, Guibas and Hershberger, SODA 1997).
     """
     levels, floor = list(zip(*_shape(n_max)[:2])), (n_max + 1, n_max + 1)  # by index
+    hbar_omega0 = float(hbar_omega0)  # as ModelParameters stores it, for the stations' energies
     index = {level: x for x, level in enumerate(levels)}
 
     def params(i):
@@ -424,11 +423,11 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         except ValueError:
             return True
 
-    # The sweep ends at the first non-finite or refused point; refusal rises with tau.
+    # Carries end at the first non-finite or refused point; refusal rises with tau.
     stop = [*map(math.isfinite, grid), False].index(False)
     stop = bisect_left(range(stop), True, key=refused) if refused(stop - 1) else stop
     stretches = _stretches(grid[0], grid[stop - 1], n_max, hbar_omega0)
-    states = [None] * stop
+    states = [None] * len(grid)
     live, heap = {}, []  # pair -> [tau, value, end of its certificate (-inf expired), kind]
 
     def carry(s):  # from states[s], the kernel's, to the first station the kernel takes, or stop
@@ -503,8 +502,8 @@ def _sweep(grid, primary_gap, count_limit, hbar_omega0, n_max) -> list:
         return s
 
     i = last = 0  # last: the kernel's point before i
-    while i < stop and (point := _fit_point(params(i), count_limit, primary_gap)):
-        states[i], tied = point
+    while i < len(grid):
+        states[i], tied = _fit_point(params(i), count_limit, primary_gap)
         go = i and not tied and (last < i - 1 or states[i - 1] == states[i])
         last, i = i, carry(i) if go else i + 1
-    return [held := new or held for new in states[:i]]  # a carried point holds the one before
+    return [held := new or held for new in states]  # a carried point holds the one before

@@ -16,7 +16,7 @@ scheme complete.  Its sort leaves the kept energies non-decreasing and
 its running sum gives the totals, so build_scheme and detect_shells skip
 the checks that LevelScheme and MagicRecord run on a caller's records.
 The fit's kernel in empirics cuts its columns through _cut too, and
-_required_n_max cuts its candidates on one longer column.
+_required_n_max cuts each of its candidates on its own column.
 """
 
 import math
@@ -89,10 +89,6 @@ class LevelScheme(_Record, namedtuple("LevelScheme", "levels cumulative params")
         return tuple.__new__(cls, (levels, cumulative, params))
 
 
-# Shells added per step when searching for the n_max to suggest.
-_N_MAX_STEP = 8
-
-
 def _cut(energies: tuple[float, ...], n_hi: int, count_limit: int, tau: float):
     """(order, totals, complete) of the scheme of shells 0..n_hi at tau.
 
@@ -121,26 +117,16 @@ def _cut(energies: tuple[float, ...], n_hi: int, count_limit: int, tau: float):
 def _required_n_max(p: ModelParameters, count_limit: int) -> int:
     """The smallest n_max above p.n_max whose scheme is complete.
 
-    The energy column up to a trial bound is computed once, and every
-    candidate up to that bound is cut on it, floor included; the bound grows
-    by _N_MAX_STEP shells only if no candidate passes.  Where that column is
-    refused, each candidate is cut on its own column, and the search raises
-    only where that is refused too.  Candidates whose shells hold fewer
+    Each candidate is cut on its own column, floor included, and the search
+    raises where that column is refused.  Candidates whose shells hold fewer
     than count_limit particles, (n+1)(n+2)(n+3)/3, are skipped.
     """
-    n = p.n_max
-    while (n + 2) * (n + 3) * (n + 4) // 3 < count_limit:
+    n = p.n_max + 1
+    while (n + 1) * (n + 2) * (n + 3) // 3 < count_limit:
         n += 1
-    while True:
-        n_hi = n + _N_MAX_STEP
-        try:
-            energies = _energies_up_to(p, n_hi)
-        except ValueError:
-            energies = None
-        while n < n_hi:
-            n += 1
-            if _cut(energies or _energies_up_to(p, n), n, count_limit, p.deformation.tau)[2]:
-                return n
+    while not _cut(_energies_up_to(p, n), n, count_limit, p.deformation.tau)[2]:
+        n += 1
+    return n
 
 
 def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> LevelScheme:

@@ -73,13 +73,13 @@ class Level(_Record, namedtuple("Level", "n l energy degeneracy")):
         _check_branching(n, l)
         if degeneracy != 2 * (2 * l + 1):
             raise ValueError(f"degeneracy {degeneracy} != 2(2l+1) = {2 * (2 * l + 1)}")
-        if not math.isfinite(energy):
+        if not abs(energy) <= sys.float_info.max:  # nan, +-inf and ints past the float range
             raise ValueError(f"energy must be finite, got {energy!r}")
         return tuple.__new__(cls, (n, l, energy, degeneracy))
 
 
 class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_omega0 n_max")):
-    """A deformation with its energy scale and shell enumeration bound."""
+    """A deformation, its energy scale (stored as a float) and shell enumeration bound."""
 
     __slots__ = ()
 
@@ -95,7 +95,7 @@ class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_o
         # completeness check of a truncated scheme relies on it.
         if deformation.tau < 0:
             raise ValueError(f"tau must be >= 0, got {deformation.tau!r}")
-        return tuple.__new__(cls, (deformation, hbar_omega0, n_max))
+        return tuple.__new__(cls, (deformation, float(hbar_omega0), n_max))
 
 
 def allowed_l(n: int) -> list[int]:
@@ -257,7 +257,7 @@ def _level_energy(tau: float, hbar_omega0: float):
     """(n, l) -> E(n, l), unchecked, n hbar_omega0 at tau = 0; each level of
     _energies_up_to's column bit for bit."""
     if tau == 0.0:
-        return lambda n, l: hbar_omega0 * float(n)  # a float, as the column's, for an int scale
+        return lambda n, l: hbar_omega0 * n
     sinh, sinh_tau, q = math.sinh, math.sinh(tau), math.exp(tau)
     casimir_coeff = q * math.tanh(tau)
     return lambda n, l: hbar_omega0 * (sinh(tau * n) / sinh_tau * q ** (n + 1) - casimir_coeff * (

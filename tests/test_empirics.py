@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -481,6 +482,13 @@ def test_fit_tau_is_the_plain_reference_loop(grid, name, slack, primary_gap, cou
     assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
 
 
+def test_fit_takes_a_decimal_scale_as_its_float():
+    # ModelParameters stores the scale as a float, and so do the sweep's stations.
+    ds, taus = load_named_dataset("martin"), _taus(0.02, 0.06, 1e-4)
+    assert fit_tau(ds, taus, 0.39, 1520, hbar_omega0=Decimal("1.7")) == \
+        fit_tau(ds, taus, 0.39, 1520, hbar_omega0=1.7)
+
+
 # ------------------------------------------------------------ certified sweep
 
 
@@ -568,12 +576,13 @@ def _counted(monkeypatch):
 
 def _kernel_states(grid, primary_gap, count_limit, hbar_omega0=1.0, n_max=24):
     # (primaries, cut) of every point read off the kernel, up to the first
-    # it cannot finish.
+    # whose scheme is incomplete.
     states = []
     for tau in grid:
-        point = _fit_point(ModelParameters(DeformationParameter(tau), hbar_omega0, n_max),
-                           count_limit, primary_gap)
-        if point is None:
+        try:
+            point = _fit_point(ModelParameters(DeformationParameter(tau), hbar_omega0, n_max),
+                               count_limit, primary_gap)
+        except InsufficientNMaxError:
             break
         states.append(point[0])
     return states
@@ -973,9 +982,14 @@ def test_sweep_certifies_nothing_where_the_curvature_bounds_overflow(hi, monkeyp
     args = (load_named_dataset("martin"), taus, 0.39, 8, 0, 1.0, 100)
     kernel_taus, station_taus = _counted(monkeypatch)
     assert _outcome(fit_tau, *args) == _outcome(_plain_fit, *args)
-    # From tau = 3.514 the kernel cannot finish, and the reference path's
-    # n_max search overflows.
-    swept = taus[:len(empirics._sweep(taus, 0.39, 8, 1.0, 100))]
+    # From tau = 3.514 the kernel cannot finish, and build_scheme's n_max
+    # search overflows: the sweep raises at its last kernel point.
+    if hi == 3.51:
+        swept = taus[:len(empirics._sweep(taus, 0.39, 8, 1.0, 100))]
+    else:
+        with pytest.raises(ValueError, match="overflow a float"):
+            empirics._sweep(taus, 0.39, 8, 1.0, 100)
+        swept = taus[:taus.index(kernel_taus[-1])]
     assert len(swept) == {3.51: 41, 3.52: 32, 3.54: 20}[hi]
     assert set(swept) <= set(kernel_taus) | set(station_taus)
 

@@ -50,6 +50,7 @@ INVALID_CHANGES = [
     (P, {"n_max": 2.5}, ValueError),
     (GROUND, {"energy": float("nan")}, ValueError),
     (GROUND, {"energy": float("inf")}, ValueError),
+    (GROUND, {"energy": 10**400}, ValueError),
     (RECORD, {"gap": float("nan")}, ValueError),
     (OBSERVED, {"value": float("nan")}, ValueError),
 ]

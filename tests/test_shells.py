@@ -10,7 +10,6 @@ from qshell import shells
 from qshell.empirics import _fit_point, predicted_primary_magics
 from qshell.qmath import DeformationParameter
 from qshell.shells import (
-    _N_MAX_STEP,
     InsufficientNMaxError,
     LevelScheme,
     MagicGrade,
@@ -232,11 +231,11 @@ def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
     (7.714, 1, "shells 0..1 hold only 8 particles"),
 ])
 def test_n_max_search_at_the_edge_of_its_step_column(tau, n_max, reason):
-    # The search's step column, shells 0..n_hi, is accepted here and one shell
-    # more would cancel: the candidates are cut on it, and give the answer
-    # that cutting each on its own column gives.
+    # Shells 0..n_hi are accepted here and one shell more would cancel: each
+    # candidate, cut on its own column, gives the answer that cutting it on
+    # the longer column of shells 0..n_hi gives.
     p = params(tau=tau, n_max=n_max)
-    n_hi = max(n_max, 7) + _N_MAX_STEP  # candidates from 8, the first shells to hold 330
+    n_hi = max(n_max, 7) + 8  # candidates from 8, the first shells to hold 330
     _energies_up_to(p, n_hi)
     with pytest.raises(ValueError, match=rf"shells 0\.\.{n_hi + 1} cancel"):
         _energies_up_to(p, n_hi + 1)
@@ -287,12 +286,11 @@ def _builds(p, count_limit):
 def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
     # The one-key sort is the (energy, n, +-l) sort, on build_scheme's column
     # (shells 0..n_max) and as a prefix of a longer column (shells 0..n_max +
-    # _N_MAX_STEP + 1), as _required_n_max cuts its candidates, and complete is exactly
-    # build_scheme's acceptance at every bound.
+    # 9), and complete is exactly build_scheme's acceptance at every bound.
     p = params(tau=tau, hw=hw, n_max=n_max)
-    longer = enumerate_levels(p._replace(n_max=n_max + _N_MAX_STEP + 1))
+    longer = enumerate_levels(p._replace(n_max=n_max + 9))
     longer_energies = [lev.energy for lev in longer]
-    for n in (n_max, n_max + _N_MAX_STEP):
+    for n in (n_max, n_max + 8):
         column = enumerate_levels(p._replace(n_max=n))
         floor = energy(n + 1, n + 1, p)
         assert longer_energies[len(column)] == floor
@@ -301,7 +299,7 @@ def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
             assert [longer[i] for i in order] == sorted(column, key=_energy_n_l(tau))
             assert totals == _old_truncated(sorted(column, key=_energy_n_l(tau)), count_limit)[1]
             assert complete == _builds(p._replace(n_max=n), count_limit)
-    order, _, _ = _cut(longer_energies + [math.inf], n_max + _N_MAX_STEP + 1, count_limit, tau)
+    order, _, _ = _cut(longer_energies + [math.inf], n_max + 9, count_limit, tau)
     assert [longer[i] for i in order] == sorted(longer, key=_energy_n_l(tau))
 
 
@@ -367,10 +365,11 @@ def test_predicted_primaries_are_detect_shells_primaries(tau, n_max, count_limit
         assert predicted_primary_magics(tau, g, count_limit, 1.0, scheme.params.n_max) == expected
 
 
-def _primaries(p, count_limit, gap):
-    # The fit kernel's primary list, or None where it cannot finish.
-    point = _fit_point(p, count_limit, gap)
-    return point and list(point[0][0])
+def _raises_as(call, error):
+    # call raises error's type with error's message.
+    with pytest.raises(type(error)) as raised:
+        call()
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
 
 
 @settings(deadline=None)
@@ -384,27 +383,19 @@ def _primaries(p, count_limit, gap):
 # Shells 0..1 hold 8 particles; the n_max search's longer column overflows.
 @example(tau=0.0, hw=5.992310449541053e307, n_max=1, count_limit=21, gap=0.39)
 def test_primaries_kernel_is_the_reference_path(tau, hw, n_max, count_limit, gap):
-    # The fit's kernel gives predicted_primary_magics' list.  Where the
-    # column of shells 0..n_max is refused (at tau = 200 the energy formula
-    # cancels), it raises build_scheme's ValueError; where build_scheme
-    # raises otherwise, it gives None.
+    # The fit's kernel gives predicted_primary_magics' list.  Where
+    # build_scheme raises, the kernel raises the same error: where the column
+    # of shells 0..n_max is refused (at tau = 200 the energy formula
+    # cancels), where the scheme is incomplete, and where the n_max search
+    # meets a refused column.
     p = params(tau=tau, hw=hw, n_max=n_max)
     try:
-        _energies_up_to(p, n_max)
-    except ValueError as refusal:
-        message = f"^{re.escape(str(refusal))}$"
-        with pytest.raises(ValueError, match=message):
-            build_scheme(p, count_limit)
-        with pytest.raises(ValueError, match=message):
-            _fit_point(p, count_limit, gap)
-        return
-    try:
         build_scheme(p, count_limit)
-    except (InsufficientNMaxError, ValueError):  # a ValueError from the n_max search
-        assert _primaries(p, count_limit, gap) is None
+    except (InsufficientNMaxError, ValueError) as error:
+        _raises_as(lambda: _fit_point(p, count_limit, gap), error)
         return
-    assert _primaries(p, count_limit, gap) == \
-        predicted_primary_magics(tau, gap, count_limit, hw, n_max)
+    (primaries, _), _ = _fit_point(p, count_limit, gap)
+    assert list(primaries) == predicted_primary_magics(tau, gap, count_limit, hw, n_max)
 
 
 @settings(deadline=None)
@@ -421,8 +412,8 @@ def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max,
     p = params(tau=tau, n_max=n_max)
     try:
         scheme = build_scheme(p, count_limit)
-    except InsufficientNMaxError:
-        assert _fit_point(p, count_limit, gap) is None
+    except InsufficientNMaxError as error:
+        _raises_as(lambda: _fit_point(p, count_limit, gap), error)
         return
     k = len(scheme.levels)
     levels = enumerate_levels(p)

@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal
 
 import mpmath
 import pytest
@@ -305,8 +306,8 @@ def test_next_shell_floor_is_bitwise_energy(tau, hw, n_hi):
 @example(tau=0.0, hw=1.0, n=1)
 @example(tau=7.7, hw=1.0, n=16)  # the column to shell 24 refuses, as it cancels
 def test_column_ends_with_its_floor_as_a_longer_column_holds_it(tau, hw, n):
-    # _cut reads the floor at the column's end, and _required_n_max reads each
-    # candidate's at the same index of its step column to shell n + 8.
+    # _cut reads the floor at the column's end, and a longer column, to shell
+    # n + 8, holds it at the same index, after the same levels bit for bit.
     p = params(tau, hw, n)
     try:
         column = _energies_up_to(p, n)
@@ -329,9 +330,10 @@ def test_the_kept_column_is_one_tuple_for_equal_arguments():
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.038, 1.0, 5.0])
-@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("scale", [1, 2, Decimal("1")])
 def test_an_int_scale_gives_the_float_scale_column_bit_for_bit(tau, scale):
-    # Equal parameters share the kept column, so an int hbar_omega0 must give the same floats.
+    # Equal parameters share the kept column, so an int or Decimal hbar_omega0 must give the
+    # same floats.
     _energies_up_to.cache_clear()
     ints = _energies_up_to(params(tau, scale), 24)
     _energies_up_to.cache_clear()
