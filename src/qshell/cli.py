@@ -23,6 +23,8 @@ from .shells import (
     DEFAULT_SECONDARY_GAP,
     InsufficientNMaxError,
     MagicGrade,
+    _LEVEL_FIELDS,
+    _level_rows,
     build_scheme,
     detect_shells,
     render_table,
@@ -211,18 +213,6 @@ def _scheme(config: RunConfig, graded: bool = True):
     params = ModelParameters(DeformationParameter(config.tau), config.hbar_omega0, config.n_max)
     scheme = build_scheme(params, config.count_limit)
     return scheme, detect_shells(scheme, config.primary_gap, config.secondary_gap) if graded else []
-
-
-_LEVEL_FIELDS = ("n", "l", "energy", "degeneracy", "cumulative", "gap_to_next", "magic_grade")
-
-
-def _level_rows(scheme, records) -> list[tuple]:
-    """One row of _LEVEL_FIELDS per level; the last level has no gap_to_next."""
-    grades = {(r.after_level.n, r.after_level.l): r.grade.value for r in records}
-    levels = scheme.levels
-    gaps = [b.energy - a.energy for a, b in zip(levels, levels[1:])] + [None]
-    return [(lev.n, lev.l, lev.energy, lev.degeneracy, cum, gap, grades.get((lev.n, lev.l)))
-            for lev, cum, gap in zip(levels, scheme.cumulative, gaps)]
 
 
 def _cmd_levels(config: RunConfig) -> str:

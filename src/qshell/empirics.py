@@ -7,8 +7,8 @@ under the window |predicted - observed| <= uncertainty + slack, and the
 deformation parameter is fitted by exhaustive grid search on the
 resulting f1 score.  The fit checks its arguments on the first grid point
 through predicted_primary_magics, and reads the other points off an
-event sweep.  Its record-free kernel, _fit_point, cuts the energy column
-with shells' _cut, as build_scheme does, and the sweep carries the
+event sweep.  Its record-free kernel, _fit_point, cuts or raises through
+shells' _complete_cut, as build_scheme does, and the sweep carries the
 kernel's state along the grid on signs of level differences that
 _certified certifies from _drift_bounds' bounds on their curvature and
 rounding.  It matches each run of one magic list once.
@@ -26,7 +26,7 @@ from itertools import accumulate, compress, groupby, repeat
 from operator import itemgetter
 
 from .qmath import DeformationParameter, _Record
-from .shells import _cut, build_scheme
+from .shells import _complete_cut, build_scheme
 from .spectrum import (DEFAULT_HBAR_OMEGA0, DEFAULT_N_MAX, ModelParameters, _energies_up_to,
                        _level_energy, _shape, _term_error, allowed_l)
 
@@ -284,16 +284,13 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
     The list is read off the energy column of shells 0..n_max and its floor,
-    cut by _cut at p's tau as build_scheme cuts them: a refused column or an
-    incomplete cut raises build_scheme's error.  Returns ((primaries, (k,
-    prefix)), tied): the sweep's state, with k the kept count and prefix the
-    table indices of the kept levels and the one above them in _cut's order,
-    ties included, and whether two of those tie.  Checks no argument.
+    cut by _complete_cut, which raises as build_scheme does where the column
+    is refused or its cut incomplete.  Returns ((primaries, (k, prefix)),
+    tied): the sweep's state, with k the kept count and prefix the table
+    indices of the kept levels and the one above them in _cut's order, ties
+    included, and whether two of those tie.  Checks no argument.
     """
-    energies = _energies_up_to(p, p.n_max)
-    order, totals, complete = _cut(energies, p.n_max, count_limit, p.deformation.tau)
-    if not complete:
-        build_scheme(p, count_limit)  # raises
+    energies, order, totals = _complete_cut(p, count_limit)
     k = len(totals)
     prefix = tuple(order[:k + 1])
     ordered = list(map(energies.__getitem__, prefix))

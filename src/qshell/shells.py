@@ -12,11 +12,11 @@ table's (n, descending l) order is a shell's exact order.  At tau = 0
 every level of shell n is n hbar_omega0: the reversed table gives (n, l).
 
 _cut is the one place that sorts, cuts at the count limit and judges a
-scheme complete.  Its sort leaves the kept energies non-decreasing and
-its running sum gives the totals, so build_scheme and detect_shells skip
-the checks that LevelScheme and MagicRecord run on a caller's records.
-The fit's kernel in empirics cuts its columns through _cut too, and
-_required_n_max cuts each of its candidates on its own column.
+scheme complete; _complete_cut, behind build_scheme and the fit's kernel,
+returns a complete cut or raises with the n_max to use.  The kept energies
+are sorted and the running sum gives the totals, so build_scheme and
+detect_shells skip the checks LevelScheme and MagicRecord run on a caller's
+records.  _level_rows gives each level's gap and grade to every listing.
 """
 
 import math
@@ -63,6 +63,8 @@ class MagicRecord(_Record, namedtuple("MagicRecord", "after_level gap count grad
             raise ValueError(f"gap must be positive, got {gap!r}")
         if count < 1:
             raise ValueError(f"count must be positive, got {count!r}")
+        if not isinstance(grade, MagicGrade):  # render_table would drop a string's mark
+            raise TypeError(f"grade must be a MagicGrade, got {grade!r}")
         return tuple.__new__(cls, (after_level, gap, count, grade))
 
 
@@ -93,10 +95,9 @@ def _cut(energies: tuple[float, ...], n_hi: int, count_limit: int, tau: float):
     """(order, totals, complete) of the scheme of shells 0..n_hi at tau.
 
     energies is _energies_up_to's tuple for n_hi, the column of _shape(n_hi)
-    and then the floor E(n_hi + 1, n_hi + 1), or a longer column, which
-    holds the floor at that index.  order is the column's indices in energy
-    order, ties in table order at tau > 0 and reversed at tau = 0 (see
-    above), and totals the running occupancies within count_limit:
+    and then the floor E(n_hi + 1, n_hi + 1).  order is the column's indices
+    in energy order, ties in table order at tau > 0 and reversed at tau = 0
+    (see above), and totals the running occupancies within count_limit:
     order[:len(totals)] is kept.  For tau >= 0 the lowest level of shell m
     is (m, m), rising with m, so the scheme is complete when count_limit,
     not n_hi, ended it (a level was left out, or the total met the limit)
@@ -110,23 +111,37 @@ def _cut(energies: tuple[float, ...], n_hi: int, count_limit: int, tau: float):
     totals = list(takewhile(partial(ge, count_limit), running))
     k = len(totals)
     complete = ((k < len(order) or totals[-1] == count_limit)
-                and energies[len(order)] > energies[order[k - 1]])
+                and energies[-1] > energies[order[k - 1]])
     return order, totals, complete
 
 
-def _required_n_max(p: ModelParameters, count_limit: int) -> int:
-    """The smallest n_max above p.n_max whose scheme is complete.
+def _complete_cut(p: ModelParameters, count_limit: int):
+    """(energies, order, totals): _cut of p's column, shells 0..n_max, where it is complete.
 
-    Each candidate is cut on its own column, floor included, and the search
-    raises where that column is refused.  Candidates whose shells hold fewer
-    than count_limit particles, (n+1)(n+2)(n+3)/3, are skipped.
+    Where it is not, raises InsufficientNMaxError with the reason, then the
+    smallest n_max above p.n_max whose cut is complete.  Candidates whose
+    shells hold fewer than count_limit particles, (n+1)(n+2)(n+3)/3, are
+    skipped, and each other is cut on its own column, floor included; the
+    search raises where that column is refused.
     """
+    tau = p.deformation.tau
+    energies = _energies_up_to(p, p.n_max)
+    order, totals, complete = _cut(energies, p.n_max, count_limit, tau)
+    if complete:
+        return energies, order, totals
+    top = energies[order[len(totals) - 1]]
+    if energies[-1] > top:
+        reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
+    else:  # past 1e10, .6f prints more digits than a double holds
+        reason = (f"shell {p.n_max + 1} starts below the truncation energy "
+                  f"{top:{'.6f' if top < 1e10 else '.6e'}}")
     n = p.n_max + 1
     while (n + 1) * (n + 2) * (n + 3) // 3 < count_limit:
         n += 1
-    while not _cut(_energies_up_to(p, n), n, count_limit, p.deformation.tau)[2]:
+    while not _cut(_energies_up_to(p, n), n, count_limit, tau)[2]:
         n += 1
-    return n
+    raise InsufficientNMaxError(f"n_max={p.n_max} is too small for count_limit={count_limit}: "
+                                f"{reason}; use n_max >= {n}")
 
 
 def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> LevelScheme:
@@ -145,21 +160,10 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
         raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
     # enumerate_levels raises where the energies overflow or cancel, the
     # floor's included, and otherwise (0, 0) is the lowest level, so kept
-    # holds at least it.  Its column is the one _energies_up_to keeps.
-    levels, energies = enumerate_levels(p), _energies_up_to(p, p.n_max)
-    order, totals, complete = _cut(energies, p.n_max, count_limit, p.deformation.tau)
+    # holds at least it.  _complete_cut cuts the column it keeps.
+    levels = enumerate_levels(p)
+    _, order, totals = _complete_cut(p, count_limit)
     kept = tuple(map(levels.__getitem__, order[:len(totals)]))
-    if not complete:
-        if energies[-1] > kept[-1].energy:
-            reason = f"shells 0..{p.n_max} hold only {totals[-1]} particles"
-        else:  # past 1e10, .6f prints more digits than a double holds
-            energy = kept[-1].energy
-            reason = (f"shell {p.n_max + 1} starts below the truncation energy "
-                      f"{energy:{'.6f' if energy < 1e10 else '.6e'}}")
-        raise InsufficientNMaxError(
-            f"n_max={p.n_max} is too small for count_limit={count_limit}: "
-            f"{reason}; use n_max >= {_required_n_max(p, count_limit)}"
-        )
     return tuple.__new__(LevelScheme, (kept, tuple(totals), p))
 
 
@@ -190,29 +194,34 @@ def detect_shells(
             if (gap := high[2] - low[2]) > secondary_gap]
 
 
+_LEVEL_FIELDS = ("n", "l", "energy", "degeneracy", "cumulative", "gap_to_next", "magic_grade")
+
+
+def _level_rows(scheme, records) -> list[tuple]:
+    """One row of _LEVEL_FIELDS per level; the last level has no gap_to_next."""
+    grades = {(r.after_level.n, r.after_level.l): r.grade.value for r in records}
+    levels = scheme.levels
+    gaps = [b.energy - a.energy for a, b in zip(levels, levels[1:])] + [None]
+    return [(lev.n, lev.l, lev.energy, lev.degeneracy, cum, gap, grades.get((lev.n, lev.l)))
+            for lev, cum, gap in zip(levels, scheme.cumulative, gaps)]
+
+
 _ROW = "{:>3} {:>3} {:>8} {:>8} {:>6}"
 
 
 def render_table(s: LevelScheme, records: list[MagicRecord]) -> str:
-    """Text table of the scheme: n, l, energy, capacity, running total.
+    """Text table of _level_rows: n, l, energy, capacity, running total.
 
-    Totals that close a primary shell are marked with '*' and followed by
-    a row holding the gap to the next level, mirroring the layout used
-    for published level schemes.  Output is deterministic.
+    Totals that close a primary shell are marked with '*' and, but on the
+    last level, followed by a row holding the gap, the level difference to
+    the next, as published level schemes are.  Output is deterministic.
     """
-    primary_after = {
-        (r.after_level.n, r.after_level.l): r
-        for r in records
-        if r.grade is MagicGrade.PRIMARY
-    }
+    primary = MagicGrade.PRIMARY.value
     lines = [_ROW.format("n", "l", "energy", "2(2l+1)", "total")]
-    last = len(s.levels) - 1
-    for i, lev in enumerate(s.levels):
-        row = _ROW.format(lev.n, lev.l, f"{lev.energy:.3f}", lev.degeneracy, s.cumulative[i])
-        record = primary_after.get((lev.n, lev.l))
-        if record is not None:
-            row += " *"
-        lines.append(row)
-        if record is not None and i < last:
-            lines.append(_ROW.format("", "", f"{record.gap:.3f}", "", "").rstrip())
+    for n, l, energy, degeneracy, total, gap, grade in _level_rows(s, records):
+        lines.append(_ROW.format(n, l, f"{energy:.3f}", degeneracy, total))
+        if grade == primary:
+            lines[-1] += " *"
+            if gap is not None:
+                lines.append(_ROW.format("", "", f"{gap:.3f}", "", "").rstrip())
     return "\n".join(lines) + "\n"

@@ -91,6 +91,8 @@ class ModelParameters(_Record, namedtuple("ModelParameters", "deformation hbar_o
             raise ValueError(f"hbar_omega0 must be a normal positive float, got {hbar_omega0!r}")
         if not hasattr(n_max, "__index__") or (n_max := n_max.__index__()) < 1:
             raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+        if not isinstance(deformation, DeformationParameter):
+            raise TypeError(f"deformation must be a DeformationParameter, got {deformation!r}")
         # The lowest level of shell n is (n, n) only for tau >= 0, and the
         # completeness check of a truncated scheme relies on it.
         if deformation.tau < 0:

@@ -478,8 +478,8 @@ def test_fit_follows_its_own_n_max_advice(capsys):
 
 
 def test_n_max_advice_near_cancellation_exits_1(capsys):
-    # The n_max search's step column (shells 0..30) is accepted at tau = 7.5,
-    # shells 0..31 cancel, and n_max 24 holds the 5000 particles.  The
+    # At tau = 7.5, where shells 0..31 cancel, the n_max search cuts 23 and 24
+    # each on its own column, and n_max 24 holds the 5000 particles.  The
     # truncation energy, a 144-digit number, is printed in exponent form.
     argv = ["magics", "--tau", "7.5", "--count-limit", "5000"]
     status, out = capture(parse_args(argv + ["--n-max", "22"]))

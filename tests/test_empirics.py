@@ -26,7 +26,7 @@ from qshell.empirics import (
     _drift_bounds,
     _fit_point,
 )
-from qshell import empirics
+from qshell import empirics, shells
 from qshell.qmath import DeformationParameter
 from qshell.shells import InsufficientNMaxError, build_scheme
 from qshell.spectrum import ModelParameters, _energies_up_to, _level_energy, _shape, energy
@@ -754,6 +754,7 @@ def test_sweep_keeps_outside_levels_past_their_station_margin(monkeypatch):
         return lambda n, l: energy(*first) - delta if (n, l) == lower else energy(n, l)
 
     monkeypatch.setattr(empirics, "_energies_up_to", perturbed_column)
+    monkeypatch.setattr(shells, "_energies_up_to", perturbed_column)  # the kernel's column
     monkeypatch.setattr(empirics, "_level_energy", perturbed_level_energy)
     states = _kernel_states(grid, 0.39, count_limit)
     assert [levels[cut[1][cut[0]]] for _, cut in states] == [top, top] + [lower] * len(near)

@@ -9,6 +9,7 @@ These tests run each command in process, and again as `python -m qshell`,
 and only read those files.
 """
 
+import ast
 import contextlib
 import gzip
 import io
@@ -16,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,29 @@ def test_other_fine_fits_match_golden(dataset):
 def test_default_grid_fit_matches_golden():
     # 0.02:0.06:0.002, 21 points that each hold another state than the one before.
     assert _stdout(DEFAULT_FIT) == _golden(DEFAULT_FIT)
+
+
+def test_readme_library_example_gives_its_commented_values():
+    # Each statement of README's library example that ends in a "# value"
+    # comment evaluates to that repr; a value ending in "..." is a prefix.
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace, checked = {}, []
+    for node in ast.parse(block).body:
+        expected = comments.get(node.end_lineno)
+        if expected is None:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = repr(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        if expected.endswith("..."):
+            assert value.startswith(expected[:-3]), (ast.unparse(node), value)
+        else:
+            assert value == expected, (ast.unparse(node), value)
+        checked.append(expected)
+    assert len(checked) == 3
 
 
 def _process(argv):

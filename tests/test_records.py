@@ -53,6 +53,8 @@ INVALID_CHANGES = [
     (GROUND, {"energy": 10**400}, ValueError),
     (RECORD, {"gap": float("nan")}, ValueError),
     (OBSERVED, {"value": float("nan")}, ValueError),
+    (P, {"deformation": 0.038}, TypeError),
+    (RECORD, {"grade": "primary"}, TypeError),
 ]
 
 FIELDS = {

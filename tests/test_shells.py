@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qshell import shells
+from qshell import empirics, shells
 from qshell.empirics import _fit_point, predicted_primary_magics
 from qshell.qmath import DeformationParameter
 from qshell.shells import (
@@ -201,12 +201,12 @@ def _suggested_n_max(exc):
 @example(tau=0.038, count_limit=2281, n_max=16)
 @example(tau=0.0, count_limit=2280, n_max=16)
 @example(tau=0.0, count_limit=2281, n_max=16)
-# At tau = 7.5 the search's step column from 22, shells 0..30, is accepted; from 23,
-# shells 0..31 cancel, and each candidate is cut on its own column.
+# At tau = 7.5, where shells 0..31 cancel, the search cuts candidate 23 on
+# its own column and it fails; 24 is complete.
 @example(tau=7.5, count_limit=5000, n_max=22)
 @example(tau=7.5, count_limit=5000, n_max=23)
-# The search passes its first step: candidates 61..68 are cut on the column
-# of shells 0..68 and fail, and the next column, to shell 76, holds 70.
+# The capacity skip starts the search at 61; candidates 61..69, each cut on
+# its own column, fail, and 70 is complete.
 @example(tau=0.01, count_limit=80000, n_max=1)
 def test_build_scheme_matches_larger_bound(tau, count_limit, n_max):
     # Brute-force oracle: an accepted scheme is the one every larger bound
@@ -284,23 +284,17 @@ def _builds(p, count_limit):
 @example(tau=6.4e-17, hw=1.0, n_max=24, count_limit=1520)
 @example(tau=1.8e-304, hw=1.0, n_max=24, count_limit=1520)
 def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
-    # The one-key sort is the (energy, n, +-l) sort, on build_scheme's column
-    # (shells 0..n_max) and as a prefix of a longer column (shells 0..n_max +
-    # 9), and complete is exactly build_scheme's acceptance at every bound.
+    # The one-key sort is the (energy, n, +-l) sort on the column of shells
+    # 0..n and its floor, for n = n_max and n_max + 8, and complete is
+    # exactly build_scheme's acceptance at each bound.
     p = params(tau=tau, hw=hw, n_max=n_max)
-    longer = enumerate_levels(p._replace(n_max=n_max + 9))
-    longer_energies = [lev.energy for lev in longer]
     for n in (n_max, n_max + 8):
         column = enumerate_levels(p._replace(n_max=n))
-        floor = energy(n + 1, n + 1, p)
-        assert longer_energies[len(column)] == floor
-        for energies in ([lev.energy for lev in column] + [floor], longer_energies):
-            order, totals, complete = _cut(energies, n, count_limit, tau)
-            assert [longer[i] for i in order] == sorted(column, key=_energy_n_l(tau))
-            assert totals == _old_truncated(sorted(column, key=_energy_n_l(tau)), count_limit)[1]
-            assert complete == _builds(p._replace(n_max=n), count_limit)
-    order, _, _ = _cut(longer_energies + [math.inf], n_max + 9, count_limit, tau)
-    assert [longer[i] for i in order] == sorted(longer, key=_energy_n_l(tau))
+        energies = [lev.energy for lev in column] + [energy(n + 1, n + 1, p)]
+        order, totals, complete = _cut(energies, n, count_limit, tau)
+        assert [column[i] for i in order] == sorted(column, key=_energy_n_l(tau))
+        assert totals == _old_truncated(sorted(column, key=_energy_n_l(tau)), count_limit)[1]
+        assert complete == _builds(p._replace(n_max=n), count_limit)
 
 
 def test_build_scheme_enumerates_the_levels_once_per_call(monkeypatch):
@@ -426,6 +420,21 @@ def test_fit_point_reads_its_cut_and_margin_off_the_reference_scheme(tau, n_max,
         (k, tuple(index[lev.n, lev.l] for lev in prefix)),
     )
     assert energy(n_max + 1, n_max + 1, p) > prefix[k - 1].energy
+
+
+def test_kernel_raises_without_the_reference_path(monkeypatch):
+    # _fit_point raises build_scheme's error off its own cut: with
+    # build_scheme and enumerate_levels broken, it still names n_max 17.
+    p = params(n_max=16)
+    with pytest.raises(InsufficientNMaxError, match=r"; use n_max >= 17$") as reference:
+        build_scheme(p, 1520)
+
+    def broken(*args):
+        raise AssertionError("the kernel ran the reference path")
+
+    monkeypatch.setattr(empirics, "build_scheme", broken)
+    monkeypatch.setattr(shells, "enumerate_levels", broken)
+    _raises_as(lambda: _fit_point(p, 1520, 0.39), reference.value)
 
 
 @pytest.mark.parametrize("tau, n_max, count_limit, message", [
