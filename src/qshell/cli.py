@@ -39,7 +39,8 @@ MAX_GRID_POINTS = 100_000
 # count limit the shells 0..n_max cannot hold makes build_scheme search
 # ever larger tables for the n_max to suggest.  1e6 particles need
 # n_max <= 150 at every tau, and one scheme at these caps takes at most
-# about 0.15 s; a fit builds one at its first point and at the first incomplete one.
+# about 0.15 s.  A fit builds one at its first point; at the first
+# incomplete one its kernel runs the n_max search and builds no scheme.
 MAX_N_MAX = 200
 MAX_COUNT_LIMIT = 1_000_000
 # Largest total work of a fit: tau grid points times the levels of the

@@ -284,11 +284,11 @@ def _fit_point(p: ModelParameters, count_limit: int, primary_gap: float):
     """predicted_primary_magics' list at p, and what carries it to nearby taus.
 
     The list is read off the energy column of shells 0..n_max and its floor,
-    cut by _complete_cut, which raises as build_scheme does where the column
-    is refused or its cut incomplete.  Returns ((primaries, (k, prefix)),
-    tied): the sweep's state, with k the kept count and prefix the table
-    indices of the kept levels and the one above them in _cut's order, ties
-    included, and whether two of those tie.  Checks no argument.
+    cut by _complete_cut, which raises as build_scheme does where the column is
+    refused or its cut incomplete.  Returns ((primaries, (k, prefix)), tied):
+    the sweep's state, with k the kept count and prefix the table indices of
+    the kept levels and the one above them in _cut's order, ties included, and
+    whether two of those tie.  Checks count_limit, through _complete_cut.
     """
     energies, order, totals = _complete_cut(p, count_limit)
     k = len(totals)

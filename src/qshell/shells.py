@@ -11,11 +11,11 @@ E(n, l') = hbar_omega0 q tanh(tau) ([l'][l'+1] - [l][l+1]) > 0: the
 table's (n, descending l) order is a shell's exact order.  At tau = 0
 every level of shell n is n hbar_omega0: the reversed table gives (n, l).
 
-_cut is the one place that sorts, cuts at the count limit and judges a
-scheme complete; _complete_cut, behind build_scheme and the fit's kernel,
-returns a complete cut or raises with the n_max to use.  The kept energies
-are sorted and the running sum gives the totals, so build_scheme and
-detect_shells skip the checks LevelScheme and MagicRecord run on a caller's
+_cut is the one place that sorts, cuts at the count limit and judges a scheme
+complete; _complete_cut, behind build_scheme and the fit's kernel, checks
+count_limit and returns a complete cut or raises with the n_max to use.  The
+kept energies are sorted and the running sum gives the totals, so build_scheme
+and detect_shells skip the checks LevelScheme and MagicRecord run on a caller's
 records.  _level_rows gives each level's gap and grade to every listing.
 """
 
@@ -118,12 +118,16 @@ def _cut(energies: tuple[float, ...], n_hi: int, count_limit: int, tau: float):
 def _complete_cut(p: ModelParameters, count_limit: int):
     """(energies, order, totals): _cut of p's column, shells 0..n_max, where it is complete.
 
-    Where it is not, raises InsufficientNMaxError with the reason, then the
-    smallest n_max above p.n_max whose cut is complete.  Candidates whose
-    shells hold fewer than count_limit particles, (n+1)(n+2)(n+3)/3, are
-    skipped, and each other is cut on its own column, floor included; the
-    search raises where that column is refused.
+    Checks count_limit, then where the cut is incomplete raises
+    InsufficientNMaxError with the reason and the smallest n_max above p.n_max
+    whose cut is complete.  Candidates whose shells hold fewer than count_limit
+    particles, (n+1)(n+2)(n+3)/3, are skipped, and each other is cut on its own
+    column, floor included; the search raises where that column is refused.
     """
+    if not hasattr(count_limit, "__index__"):  # inf never ends the n_max search, nan breaks it
+        raise ValueError(f"count_limit must be an integer, got {count_limit!r}")
+    if (count_limit := count_limit.__index__()) < 2:
+        raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
     tau = p.deformation.tau
     energies = _energies_up_to(p, p.n_max)
     order, totals, complete = _cut(energies, p.n_max, count_limit, tau)
@@ -151,18 +155,11 @@ def build_scheme(p: ModelParameters, count_limit: int = DEFAULT_COUNT_LIMIT) -> 
     so a total exactly equal to the limit is still included.  Raises
     InsufficientNMaxError, naming the smallest n_max that would do, when
     shells above n_max could still reach below the truncation energy or
-    when shells 0..n_max cannot fill count_limit.  _cut's sort and running
-    sum give what LevelScheme checks, so the scheme is built without it.
+    when shells 0..n_max cannot fill count_limit, before making any Level.
+    _cut's sort and running sum give what LevelScheme checks, so it is skipped.
     """
-    if not hasattr(count_limit, "__index__"):  # inf never ends the n_max search, nan breaks it
-        raise ValueError(f"count_limit must be an integer, got {count_limit!r}")
-    if (count_limit := count_limit.__index__()) < 2:
-        raise ValueError(f"count_limit must be >= 2, got {count_limit!r}")
-    # enumerate_levels raises where the energies overflow or cancel, the
-    # floor's included, and otherwise (0, 0) is the lowest level, so kept
-    # holds at least it.  _complete_cut cuts the column it keeps.
-    levels = enumerate_levels(p)
     _, order, totals = _complete_cut(p, count_limit)
+    levels = enumerate_levels(p)
     kept = tuple(map(levels.__getitem__, order[:len(totals)]))
     return tuple.__new__(LevelScheme, (kept, tuple(totals), p))
 
@@ -219,9 +216,10 @@ def render_table(s: LevelScheme, records: list[MagicRecord]) -> str:
     primary = MagicGrade.PRIMARY.value
     lines = [_ROW.format("n", "l", "energy", "2(2l+1)", "total")]
     for n, l, energy, degeneracy, total, gap, grade in _level_rows(s, records):
-        lines.append(_ROW.format(n, l, f"{energy:.3f}", degeneracy, total))
+        # past 1e10, .3f prints more digits than a double holds
+        lines.append(_ROW.format(n, l, f"{energy:.3{'f' if energy < 1e10 else 'e'}}", degeneracy, total))
         if grade == primary:
             lines[-1] += " *"
             if gap is not None:
-                lines.append(_ROW.format("", "", f"{gap:.3f}", "", "").rstrip())
+                lines.append(_ROW.format("", "", f"{gap:.3{'f' if gap < 1e10 else 'e'}}", "", "").rstrip())
     return "\n".join(lines) + "\n"

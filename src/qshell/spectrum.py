@@ -26,8 +26,8 @@ repr(energy)).  Both refuse a tau where the two terms overflow or cancel
 to more than a relative 1e-6 of rounding (above tau of about 8).
 The tau-independent (n, l, 2(2l+1)) columns of the table come from
 allowed_l, cached per n_max, so enumerate_levels() checks no Level.
-The last column is kept, an immutable tuple that build_scheme cuts; a
-test that patches this module's internals calls its cache_clear().
+The last column is kept, a tuple enumerate_levels reads after build_scheme
+cuts it; a test that patches this module's internals calls cache_clear().
 """
 
 import math
@@ -217,7 +217,7 @@ def _check_rounding(tau: float, q: float, n_hi: int, level=None) -> None:
         )
 
 
-@lru_cache(maxsize=1)  # build_scheme cuts the column enumerate_levels just evaluated
+@lru_cache(maxsize=1)  # enumerate_levels reads the column build_scheme just cut
 def _energies_up_to(p: ModelParameters, n_hi: int) -> tuple[float, ...]:
     """energy(n, l, p) of each level of _shape(n_hi), then the floor E(n_hi+1, n_hi+1).
 

@@ -161,6 +161,12 @@ def test_degenerate_order_is_n_then_ascending_l(hw, n_max):
 def test_count_limit_validation():
     with pytest.raises(ValueError):
         build_scheme(params(), count_limit=1)
+    # The fit's kernel reaches _complete_cut without build_scheme, and 1
+    # would never end its n_max search.
+    with pytest.raises(ValueError, match="count_limit must be >= 2, got 1"):
+        shells._complete_cut(params(), 1)
+    with pytest.raises(ValueError, match="count_limit must be >= 2, got 1"):
+        _fit_point(params(), 1, 0.39)
 
 
 @pytest.mark.parametrize("count_limit", [math.inf, math.nan, 1520.5, 1520.0])
@@ -171,6 +177,10 @@ def test_count_limit_must_be_an_integer(count_limit):
         build_scheme(params(), count_limit)
     with pytest.raises(ValueError, match="count_limit must be an integer"):
         predicted_primary_magics(0.038, 0.39, count_limit)
+    with pytest.raises(ValueError, match="count_limit must be an integer"):
+        shells._complete_cut(params(), count_limit)
+    with pytest.raises(ValueError, match="count_limit must be an integer"):
+        _fit_point(params(), count_limit, 0.39)
     assert primaries(detect_shells(build_scheme(params(), 1520))) == PRIMARY_MAGICS
 
 
@@ -297,24 +307,25 @@ def test_one_key_sort_is_energy_n_l_order(tau, hw, n_max, count_limit):
         assert complete == _builds(p._replace(n_max=n), count_limit)
 
 
-def test_build_scheme_enumerates_the_levels_once_per_call(monkeypatch):
-    # perfbench's tracer wraps shells.enumerate_levels and divides by the
-    # levels it returns, on accepted schemes and on both error paths.
+def test_build_scheme_enumerates_the_levels_once_per_accepted_scheme(monkeypatch):
+    # perfbench's tracer wraps shells.enumerate_levels and divides kept_ratio
+    # and enumerations_per_call by its totals, so they must stay nonzero:
+    # each accepted scheme enumerates once, and one that raises makes no Level.
     calls = []
     monkeypatch.setattr(shells, "enumerate_levels",
                         lambda p: calls.append(p) or enumerate_levels(p))
-    for p, count_limit in ((params(), 1520), (params(n_max=5), 1520),
-                           (params(tau=0.00138, n_max=19), 5452)):
+    build_scheme(params(), 1520)
+    assert calls == [params()]
+    for p, count_limit in ((params(n_max=5), 1520), (params(tau=0.00138, n_max=19), 5452)):
         del calls[:]
-        try:
+        with pytest.raises(InsufficientNMaxError):
             build_scheme(p, count_limit)
-        except InsufficientNMaxError:
-            pass
-        assert calls == [p]
+        assert calls == []
 
 
 def test_build_scheme_evaluates_one_column_per_call():
-    # enumerate_levels evaluates the column, floor included, and _cut reads the kept one.
+    # _complete_cut evaluates the column, floor included, and enumerate_levels
+    # reads the one it cut.
     _energies_up_to.cache_clear()
     build_scheme(params(), 1520)
     info = _energies_up_to.cache_info()
@@ -676,3 +687,14 @@ def test_render_energy_three_decimals():
     scheme = build_scheme(params(), 1520)
     text = render_table(scheme, detect_shells(scheme))
     assert "12.939" in text  # 12.9390... printed at 3 decimals
+
+
+def test_render_energy_and_gap_past_1e10_in_exponent_form():
+    # .3f would print all 301 digits of 1e300.
+    scheme = build_scheme(params(tau=0.0, hw=1e300), 8)
+    assert render_table(scheme, detect_shells(scheme)) == (
+        "  n   l   energy  2(2l+1)  total\n"
+        "  0   0    0.000        2      2 *\n"
+        "        1.000e+300\n"
+        "  1   1 1.000e+300        6      8\n"
+    )
